@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--q", type=int)
     e.add_argument("--trials", type=int, default=1)
     e.add_argument("--seed", type=int, required=True)
-    e.add_argument("--c", type=float, default=1.5)
     e.add_argument("--m", type=int)
     e.add_argument("--subset-samples", type=int, default=10_000)
     e.add_argument("--d-sweep", type=_parse_palette)
@@ -255,6 +254,9 @@ def _cmd_connect(args) -> int:
 def _cmd_verify(args) -> int:
     g = io.read_graph(args.graph)
     start = io.read_coloring(args.start)
+    n, _ = io.read_trace_header(args.trace)
+    if n != g.n:
+        raise FormatError(args.trace, 1, f"trace n={n} does not match graph n={g.n}")
     trace = Trace(start=start, moves=[])
     ok, failure = verify_trace(g, trace, moves=io.iter_trace_moves(args.trace))
     if ok:
@@ -301,7 +303,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         name=args.kind, n=args.n, d=args.d, q=args.q, trials=args.trials,
-        seed=args.seed, c=args.c, m=args.m, subset_samples=args.subset_samples,
+        seed=args.seed, m=args.m, subset_samples=args.subset_samples,
         d_sweep=tuple(float(x) for x in (args.d_sweep or ())), jobs=args.jobs,
         l_override=args.l_override)
     report = EXPERIMENTS[args.kind](cfg)

@@ -24,7 +24,7 @@ from .errors import InfeasibleError
 from .graphs import (Graph, balanced_partition, count_edges_within, gen_gnm,
                      gen_planted_p, greedy_mis, random_partition)
 from .greedy import derive_params, run_greedy_recolor, simulate_recurrence
-from .io import _atomic_write
+from .io import _atomic_write, _fmt
 from .rng import derive_seed, derived_rng
 
 
@@ -36,7 +36,6 @@ class ExperimentConfig:
     q: int | None = None
     trials: int = 1
     seed: int = 0
-    c: float = 1.5  # color-budget constant, diagnostic only
     m: int | None = None  # override for the edge count (else round(d*n/2))
     subset_samples: int = 10_000
     d_sweep: tuple[float, ...] = ()
@@ -85,14 +84,6 @@ class ExperimentReport:
             _atomic_write(path, self.record_lines())
         else:
             raise ValueError(f"unknown format {fmt!r}")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _run_trials(cfg: ExperimentConfig, worker, payload) -> list:

@@ -86,25 +86,6 @@ def build_graph(n: int, edges) -> Graph:
     return _graph_from_sorted_codes(n, codes)
 
 
-class _Scratch:
-    """Reusable numpy buffers. First-touch page faults are expensive in this
-    environment, so generation hot paths borrow persistent arrays instead of
-    allocating fresh ones per call."""
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, size: int, dtype) -> np.ndarray:
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(size, 16), dtype)
-            self._bufs[name] = buf
-        return buf[:size]
-
-
-_scratch = _Scratch()
-
-
 def _graph_from_sorted_codes(n: int, codes: np.ndarray,
                              ub: np.ndarray | None = None,
                              vb: np.ndarray | None = None) -> Graph:
@@ -117,16 +98,11 @@ def _graph_from_sorted_codes(n: int, codes: np.ndarray,
         return Graph(n=n, edge_u=np.zeros(0, np.int32), edge_v=np.zeros(0, np.int32),
                      indptr=np.zeros(n + 1, np.int64), nbrs=np.zeros(0, np.int32))
     if ub is None:
-        ub = _scratch.get("g.u", m, np.int64)
-        vb = _scratch.get("g.v", m, np.int64)
-        np.floor_divide(codes, n, out=ub)
-        np.remainder(codes, n, out=vb)
-    edge_u = np.empty(m, np.int32)
-    edge_v = np.empty(m, np.int32)
-    np.copyto(edge_u, ub, casting="unsafe")
-    np.copyto(edge_v, vb, casting="unsafe")
+        ub, vb = np.divmod(codes, n)
+    edge_u = ub.astype(np.int32)
+    edge_v = vb.astype(np.int32)
     # both directions as src*n+dst codes; one sort groups by src with dst ascending
-    alldir = _scratch.get("g.alldir", 2 * m, np.int64)
+    alldir = np.empty(2 * m, np.int64)
     alldir[:m] = codes
     half = alldir[m:]
     np.multiply(vb, n, out=half)
@@ -153,16 +129,15 @@ def _decode_tri(n: int, codes: np.ndarray, ub: np.ndarray, vb: np.ndarray) -> No
     c = codes.shape[0]
     if c == 0:
         return
-    f = _scratch.get("d.f", c, np.float64)
-    np.multiply(codes, -8.0, out=f)
+    f = np.multiply(codes, -8.0)
     np.add(f, float(2 * n - 1) ** 2, out=f)
     np.sqrt(f, out=f)
     np.subtract(float(2 * n - 1), f, out=f)
     np.multiply(f, 0.5, out=f)
     np.copyto(ub, f, casting="unsafe")
     np.clip(ub, 0, max(n - 2, 0), out=ub)
-    off = _scratch.get("d.off", c, np.int64)
-    mask = _scratch.get("d.mask", c, bool)
+    off = np.empty(c, np.int64)
+    mask = np.empty(c, bool)
 
     def offsets_of(src: np.ndarray) -> None:
         np.subtract(2 * n - 1, src, out=off)
@@ -173,7 +148,7 @@ def _decode_tri(n: int, codes: np.ndarray, ub: np.ndarray, vb: np.ndarray) -> No
         offsets_of(ub)
         np.greater(off, codes, out=mask)
         np.subtract(ub, mask, out=ub)
-    t = _scratch.get("d.t", c, np.int64)
+    t = np.empty(c, np.int64)
     for _ in range(2):
         np.add(ub, 1, out=t)
         offsets_of(t)
@@ -187,31 +162,24 @@ def _decode_tri(n: int, codes: np.ndarray, ub: np.ndarray, vb: np.ndarray) -> No
 
 def _draw_tri_codes(rng, n: int, count: int, class_of: np.ndarray | None) -> np.ndarray:
     """``count`` uniform triangular pair codes, filtered to cross-class pairs
-    when class_of is given. Intermediates live in scratch buffers."""
+    when class_of is given."""
     allpairs = _comb2(n)
     parts: list[np.ndarray] = []
     remaining = count
     while remaining > 0:
         c = min(remaining, _GEN_CHUNK)
         remaining -= c
-        f = _scratch.get("s.f", c, np.float64)
-        codes = _scratch.get("s.codes", c, np.int64)
-        rng.random(out=f)
+        f = rng.random(c)
         np.multiply(f, allpairs, out=f)
-        np.copyto(codes, f, casting="unsafe")
+        codes = f.astype(np.int64)
+        del f  # freed before the decode below allocates its own chunk arrays
         if class_of is None:
-            parts.append(codes.copy())
+            parts.append(codes)
             continue
-        ub = _scratch.get("s.u", c, np.int64)
-        vb = _scratch.get("s.v", c, np.int64)
+        ub = np.empty(c, np.int64)
+        vb = np.empty(c, np.int64)
         _decode_tri(n, codes, ub, vb)
-        cu = _scratch.get("s.cu", c, class_of.dtype)
-        cv = _scratch.get("s.cv", c, class_of.dtype)
-        np.take(class_of, ub, out=cu)
-        np.take(class_of, vb, out=cv)
-        mask = _scratch.get("s.mask", c, bool)
-        np.not_equal(cu, cv, out=mask)
-        parts.append(codes[mask])
+        parts.append(codes[class_of[ub] != class_of[vb]])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -281,14 +249,13 @@ def _graph_from_tri_codes(n: int, tri_sorted: np.ndarray) -> Graph:
     m = int(tri_sorted.shape[0])
     if m == 0:
         return _graph_from_sorted_codes(n, np.zeros(0, dtype=np.int64))
-    ub = _scratch.get("b.u", m, np.int64)
-    vb = _scratch.get("b.v", m, np.int64)
-    for lo in range(0, m, _GEN_CHUNK):  # chunked so decode scratch stays small
+    ub = np.empty(m, np.int64)
+    vb = np.empty(m, np.int64)
+    for lo in range(0, m, _GEN_CHUNK):  # chunked so decode temporaries stay small
         hi = min(lo + _GEN_CHUNK, m)
         _decode_tri(n, tri_sorted[lo:hi], ub[lo:hi], vb[lo:hi])
-    codes = _scratch.get("b.codes", m, np.int64)
-    np.multiply(ub, n, out=codes)
-    np.add(codes, vb, out=codes)
+    codes = ub * n
+    codes += vb
     return _graph_from_sorted_codes(n, codes, ub, vb)
 
 
@@ -422,13 +389,8 @@ class PlantedInstance:
         g, part = self.graph, self.partition
         if g.n != part.n:
             raise ValueError("graph and partition sizes differ")
-        if g.m:
-            cu = _scratch.get("pi.cu", g.m, part.class_of.dtype)
-            cv = _scratch.get("pi.cv", g.m, part.class_of.dtype)
-            np.take(part.class_of, g.edge_u, out=cu)
-            np.take(part.class_of, g.edge_v, out=cv)
-            if bool(np.any(cu == cv)):
-                raise ValueError("planted instance has an edge inside a color class")
+        if bool(np.any(part.class_of[g.edge_u] == part.class_of[g.edge_v])):
+            raise ValueError("planted instance has an edge inside a color class")
 
     @property
     def sigma(self):

@@ -11,7 +11,6 @@ by the residual pass.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -163,9 +162,10 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     draws its fresh colors from the unused remainder. None means the
     identity palette on class indices extended with fresh colors q, q+1, ...
     as needed. L overrides the derived residual threshold. selector picks
-    the candidate order inside a round ("lowest" vertex id by default;
-    "random" and "highest_degree" need no / a seed respectively and exist
-    for experiments). strict re-checks properness at every emitted move.
+    the candidate order inside a round: "lowest" vertex id (the default),
+    "random" priorities drawn from selector_seed (0 when None), or
+    "highest_degree" first; ties go to the lower vertex id. strict
+    re-checks properness at every emitted move.
     """
     from .residual import degeneracy_recolor_greedy
 
@@ -188,13 +188,18 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
 
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}")
-    priority = None
-    if selector == "random":
+    # the candidate order every round walks; nothing changes it mid-run
+    if selector == "lowest":
+        order = np.arange(n)
+    elif selector == "random":
         priority = make_rng(selector_seed if selector_seed is not None else 0).random(n)
-    degrees = g.degrees
+        order = np.argsort(priority, kind="stable")
+    else:
+        order = np.argsort(-g.degrees, kind="stable")
 
     in_u = np.ones(n, dtype=bool)
     u_count = n
+    class_of = part.class_of
     class_remaining = np.array([c.shape[0] for c in part.classes], dtype=np.int64)
     trajectory = [n]
     round_pools: list[list[int]] = []
@@ -205,12 +210,25 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     rounds = 0
     k_ptr = 0
 
-    def heap_key(v: int):
-        if selector == "lowest":
-            return v
-        if selector == "random":
-            return (priority[v], v)
-        return (-int(degrees[v]), v)
+    def finalize(v: int) -> None:
+        """Give v the round color. v and its neighbors leave the round's
+        pool, which is also its candidate set: a neighbor of a vertex
+        holding the round color can no longer take it."""
+        nonlocal u_count
+        row = nbrs[indptr[v]:indptr[v + 1]]
+        if strict and bool(np.any(colors[row] == target)):
+            raise InternalInvariantError(f"move of {v} would be improper")
+        if colors[v] != target:
+            moves.append(Move(v, target))
+            colors[v] = target
+        in_u[v] = False
+        class_remaining[class_of[v]] -= 1
+        u_count -= 1
+        finalized.append(v)
+        trajectory.append(u_count)
+        in_cand[v] = False
+        pool.append(pool[-1] - 1 - int(np.count_nonzero(in_cand[row])))
+        in_cand[row] = False
 
     while u_count > L:
         while k_ptr < q and class_remaining[k_ptr] == 0:
@@ -225,72 +243,15 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
         k = k_ptr
 
         members = part.classes[k]
-        batch = members[in_u[members]]
         pool = [u_count]
-        in_pool = in_u.copy()
-
-        # line A: the whole remaining class becomes this round's color
-        in_u[batch] = False
-        class_remaining[k] = 0
-        for v in batch.tolist():
-            if strict:
-                row = nbrs[indptr[v]:indptr[v + 1]]
-                if row.shape[0] and bool(np.any(colors[row] == target)):
-                    raise InternalInvariantError(f"move of {v} would be improper")
-            if colors[v] != target:
-                moves.append(Move(v, target))
-                colors[v] = target
-            finalized.append(v)
-            u_count -= 1
-            trajectory.append(u_count)
-            # round pool: the finalized vertex leaves, and so do its
-            # still-pooled neighbors (same-class members are never neighbors)
-            removed = 1 if in_pool[v] else 0
-            in_pool[v] = False
-            row = nbrs[indptr[v]:indptr[v + 1]]
-            if row.shape[0]:
-                removed += int(np.count_nonzero(in_pool[row]))
-                in_pool[row] = False
-            pool.append(pool[-1] - removed)
-
-        # candidate set: uncolored vertices with no neighbor in the batch
         in_cand = in_u.copy()
-        for v in batch.tolist():
-            in_cand[nbrs[indptr[v]:indptr[v + 1]]] = False
-        cand = np.flatnonzero(in_cand)
-        if selector == "lowest":
-            heap = cand.tolist()  # ascending list is already a valid min-heap
-        else:
-            heap = [(heap_key(int(v)), int(v)) for v in cand.tolist()]
-            heapq.heapify(heap)
-
-        while heap:
-            if selector == "lowest":
-                v = heapq.heappop(heap)
-            else:
-                _, v = heapq.heappop(heap)
-            if not in_cand[v]:
-                continue
-            if strict:
-                row = nbrs[indptr[v]:indptr[v + 1]]
-                if row.shape[0] and bool(np.any(colors[row] == target)):
-                    raise InternalInvariantError(f"move of {v} would be improper")
-            in_cand[v] = False
-            in_u[v] = False
-            u_count -= 1
-            class_remaining[part.class_of[v]] -= 1
-            moves.append(Move(v, target))
-            colors[v] = target
-            finalized.append(v)
-            trajectory.append(u_count)
-            removed = 1 if in_pool[v] else 0
-            in_pool[v] = False
-            row = nbrs[indptr[v]:indptr[v + 1]]
-            if row.shape[0]:
-                removed += int(np.count_nonzero(in_pool[row]))
-                in_pool[row] = False
-                in_cand[row] = False
-            pool.append(pool[-1] - removed)
+        # line A: the whole remaining class becomes this round's color
+        for v in members[in_u[members]].tolist():
+            finalize(v)
+        # then the candidates in selector order, skipping those a member blocked
+        for v in order[in_cand[order]].tolist():
+            if in_cand[v]:
+                finalize(v)
         rounds += 1
         round_pools.append(pool)
         round_classes.append(k)

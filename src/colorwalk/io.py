@@ -20,7 +20,8 @@ import numpy as np
 
 from .coloring import Coloring, Move, Trace
 from .errors import FormatError
-from .graphs import Graph, Partition, _graph_from_sorted_codes, partition_from_class_of
+from .graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
+                     partition_from_class_of)
 
 
 def _atomic_write(path: str, line_iter: Iterable[str]) -> None:
@@ -64,6 +65,8 @@ def read_graph(path: str) -> Graph:
         n, m = _parse_ints(path, 1, header, 2)
         if n < 0 or m < 0:
             raise FormatError(path, 1, "negative n or m")
+        if m > _comb2(n):
+            raise FormatError(path, 1, f"m={m} exceeds the {_comb2(n)} vertex pairs of n={n}")
         codes = np.empty(m, dtype=np.int64)
         prev = -1
         for i in range(m):
@@ -177,6 +180,10 @@ def write_csv(path: str, header: list[str], rows: Iterable[list[object]]) -> Non
 
 
 def _fmt(v) -> str:
+    """The one value formatter of every record and CSV file: bools as 0/1,
+    floats by repr (exact round trip), everything else by str."""
+    if isinstance(v, bool):
+        return str(int(v))
     if isinstance(v, float):
         return repr(v)
     return str(v)

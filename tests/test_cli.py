@@ -200,6 +200,29 @@ class TestUsageAndErrors:
                      "--trace", str(tmp_path / "t.txt")])
         assert code == 2
 
+    def test_trace_for_other_graph_size_exits_two(self, tmp_path):
+        (tmp_path / "g.txt").write_text("3 2\n0 1\n1 2\n")
+        (tmp_path / "c.txt").write_text("0\n1\n0\n")
+        (tmp_path / "t.txt").write_text("5 1\n0 2\n")
+        code, out, err = run_cli(["verify", "--graph", tmp_path / "g.txt",
+                                  "--start", tmp_path / "c.txt",
+                                  "--trace", tmp_path / "t.txt"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {tmp_path / 't.txt'}:1: trace n=5 does not match graph n=3"]
+
+    def test_edge_count_beyond_pairs_exits_two(self, tmp_path):
+        (tmp_path / "g.txt").write_text("10 999999999999\n")
+        (tmp_path / "c.txt").write_text("0\n" * 10)
+        (tmp_path / "t.txt").write_text("10 0\n")
+        code, out, err = run_cli(["verify", "--graph", tmp_path / "g.txt",
+                                  "--start", tmp_path / "c.txt",
+                                  "--trace", tmp_path / "t.txt"])
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'g.txt'}:1: m=999999999999 exceeds")
+
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",
                      "--seed", "1", "--out-graph", str(tmp_path / "g.txt")])

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from colorwalk import (InfeasibleError, balanced_partition, build_graph,
                        count_edges_within, degeneracy_order, gen_gnm, gen_gnp,
                        gen_planted_m, gen_planted_p, greedy_mis,
-                       induced_subgraph, partition_from_class_of,
-                       random_partition)
+                       gen_planted, induced_subgraph,
+                       partition_from_class_of, random_partition)
 from colorwalk.graphs import min_internal_pairs
 
 
@@ -327,3 +328,31 @@ class TestBalancedPartition:
         a = balanced_partition(40, 7, seed=5)
         b = balanced_partition(40, 7, seed=5)
         assert np.array_equal(a.class_of, b.class_of)
+
+
+class TestConcurrentGeneration:
+    """Generators share no state, so threads with distinct seeds get
+    exactly the graphs a serial run gives."""
+
+    SEEDS = list(range(100, 112))
+
+    @staticmethod
+    def arrays(g):
+        return (g.edge_u, g.edge_v, g.indptr, g.nbrs)
+
+    def check(self, make):
+        serial = [make(s) for s in self.SEEDS]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(make, self.SEEDS))
+        for a, b in zip(serial, threaded):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    def test_gen_planted_threaded_equals_serial(self):
+        def make(seed):
+            inst = gen_planted(20_000, 10, 100_000, seed)
+            return self.arrays(inst.graph) + (inst.partition.class_of,)
+        self.check(make)
+
+    def test_gen_gnm_threaded_equals_serial(self):
+        self.check(lambda seed: self.arrays(gen_gnm(20_000, 100_000, seed)))

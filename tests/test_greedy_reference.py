@@ -1,0 +1,99 @@
+"""Differential test: ``run_greedy_recolor`` against the per-vertex heap
+loop it replaced (``greedy_reference.reference_greedy_recolor``)."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from colorwalk import (GenParams, PlantedInstance, build_graph, gen_planted_m,
+                       partition_from_class_of, random_partition,
+                       run_greedy_recolor)
+from colorwalk.greedy import GreedyReport
+from greedy_reference import reference_greedy_recolor
+
+SELECTORS = ("lowest", "random", "highest_degree")
+PALETTES = ("identity", "disjoint", "mixed", "short")
+
+
+def palette_for(kind: str, n: int, q: int, short_len: int = 2):
+    if kind == "identity":
+        return None
+    if kind == "disjoint":
+        return list(range(q + 3, q + 3 + n + q))
+    if kind == "mixed":
+        # identity entries at even positions, off-identity colors above all of them
+        return [i if i % 2 == 0 else n + q + i for i in range(n + q)]
+    return list(range(q, q + short_len))
+
+
+def outcome(fn, inst, **kw):
+    try:
+        return fn(inst, **kw)
+    except Exception as exc:  # both sides must fail the same way
+        return (type(exc), str(exc))
+
+
+def assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, GreedyReport)
+    assert np.array_equal(got.trace.start.colors, want.trace.start.colors)
+    assert got.trace.start.palette_hint == want.trace.start.palette_hint
+    assert got.trace.moves == want.trace.moves
+    for f in dataclasses.fields(GreedyReport):
+        if f.name != "trace":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def check(inst, selector, strict, L, palette, selector_seed=None):
+    kw = dict(palette=palette, L=L, selector=selector,
+              selector_seed=selector_seed, strict=strict)
+    assert_same(outcome(run_greedy_recolor, inst, **kw),
+                outcome(reference_greedy_recolor, inst, **kw))
+
+
+@pytest.fixture(scope="module")
+def planted():
+    part = random_partition(2000, 8, 10_000, seed=21)
+    return gen_planted_m(part, 10_000, seed=22)
+
+
+@pytest.mark.parametrize("palette", ["identity", "disjoint", "mixed"])
+@pytest.mark.parametrize("L", [None, 0])
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_matches_reference_grid(planted, selector, strict, L, palette):
+    n, q = planted.graph.n, planted.partition.q
+    check(planted, selector, strict, L, palette_for(palette, n, q), selector_seed=5)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(0, 60))
+    q = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(seed)
+    class_of = rng.integers(0, q, size=n)
+    u, v = np.triu_indices(n, 1)
+    cross = class_of[u] != class_of[v]
+    keep = cross & (rng.random(u.shape[0]) < density)
+    g = build_graph(n, np.stack([u[keep], v[keep]], axis=1))
+    part = partition_from_class_of(class_of, q)
+    return PlantedInstance(graph=g, partition=part,
+                           params=GenParams(n=n, q=q, model="derived", m=g.m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=instances(), selector=st.sampled_from(SELECTORS),
+       strict=st.booleans(), L=st.one_of(st.none(), st.integers(0, 60)),
+       palette=st.sampled_from(PALETTES), short_len=st.integers(0, 8),
+       selector_seed=st.one_of(st.none(), st.integers(0, 10)))
+def test_matches_reference_hypothesis(inst, selector, strict, L, palette,
+                                      short_len, selector_seed):
+    n, q = inst.graph.n, inst.partition.q
+    check(inst, selector, strict, L, palette_for(palette, n, q, short_len),
+          selector_seed=selector_seed)

@@ -57,6 +57,19 @@ class TestGraphFiles:
             cwio.read_graph(str(path))
 
 
+    def test_rejects_edge_count_beyond_pairs(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 4\n0 1\n0 2\n1 2\n")
+        with pytest.raises(FormatError, match="exceeds the 3 vertex pairs") as exc:
+            cwio.read_graph(str(path))
+        assert exc.value.line == 1
+
+    def test_complete_graph_edge_count_accepted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 3\n0 1\n0 2\n1 2\n")
+        assert cwio.read_graph(str(path)).m == 3
+
+
 class TestColumnFiles:
     def test_partition_round_trip(self, tmp_path):
         part = partition_from_class_of([0, 2, 1, 2, 0])
@@ -128,3 +141,12 @@ class TestAtomicity:
         cwio._atomic_write(str(target), ["a"])
         cwio._atomic_write(str(target), ["b"])
         assert target.read_text() == "b\n"
+
+
+class TestRecordFiles:
+    def test_one_formatter_for_records_and_csv(self, tmp_path):
+        rec, csv = tmp_path / "r.txt", tmp_path / "c.csv"
+        cwio.write_records(str(rec), [("a", True), ("b", False), ("x", 0.1), ("s", "t")])
+        cwio.write_csv(str(csv), ["ok", "x"], [[True, 2.5], [False, 3]])
+        assert rec.read_text() == "a=1\nb=0\nx=0.1\ns=t\n"
+        assert csv.read_text() == "ok,x\n1,2.5\n0,3\n"
