@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage or
-input-format error, 3 infeasible parameters (including exhausted palettes
-and size caps). Generating subcommands require an explicit --seed.
+input-format error, 3 infeasible parameters, exhausted palette, size cap
+or out of memory. Generating subcommands require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def _cmd_verify(args) -> int:
     n, _ = io.read_trace_header(args.trace)
     if n != g.n:
         raise FormatError(args.trace, 1, f"trace n={n} does not match graph n={g.n}")
-    trace = Trace(start=start, moves=[])
+    trace = Trace(start=start)
     ok, failure = verify_trace(g, trace, moves=io.iter_trace_moves(args.trace))
     if ok:
         print("ok")
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InfeasibleError, PaletteError, FreshColorError, CapError) as exc:
+    except (InfeasibleError, PaletteError, FreshColorError, CapError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FormatError, FileNotFoundError, IsADirectoryError) as exc:

@@ -1,15 +1,15 @@
 """Colorings, single-vertex moves, traces, and streaming trace verification.
 
-A trace is an ordered sequence of (vertex, new_color) moves applied to a
-start coloring. Valid traces keep the coloring proper after every prefix
-and never contain no-op moves, so consecutive colorings always sit at
-Hamming distance exactly one.
+A trace is a start coloring plus a (k, 2) int64 array whose rows are
+(vertex, new_color) moves. Valid traces keep the coloring proper after
+every prefix and never contain no-op moves, so consecutive colorings
+always sit at Hamming distance exactly one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .graphs import Graph
 REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
 REASON_BAD_START = "start coloring improper"
+CHUNK = 1 << 16  # move rows per .tolist() conversion; bounds the Python-int copy
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +57,34 @@ class Move(NamedTuple):
     new_color: int
 
 
+def move_array(moves) -> np.ndarray:
+    """The (k, 2) int64 array of a sequence of (vertex, new_color) pairs."""
+    arr = np.asarray(moves, dtype=np.int64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"moves must be (vertex, new_color) rows, got shape {arr.shape}")
+    return arr
+
+
+def iter_moves(moves: np.ndarray) -> Iterator[list[int]]:
+    """The rows of a move array as [vertex, new_color] int lists, CHUNK at a time."""
+    for lo in range(0, moves.shape[0], CHUNK):
+        yield from moves[lo:lo + CHUNK].tolist()
+
+
 @dataclass(eq=False)
 class Trace:
-    """Start coloring plus an ordered move list (a walk when valid)."""
+    """Start coloring plus a (k, 2) int64 move array (a walk when valid)."""
 
     start: Coloring
-    moves: list[Move] = field(default_factory=list)
+    moves: np.ndarray = ()
+
+    def __post_init__(self):
+        self.moves = move_array(self.moves)
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return int(self.moves.shape[0])
 
 
 class TraceFailure(NamedTuple):
@@ -108,7 +128,7 @@ def verify_trace(g: Graph, trace: Trace,
     colors = trace.start.colors.copy()
     if g.m and np.any(colors[g.edge_u] == colors[g.edge_v]):
         return False, TraceFailure(-1, REASON_BAD_START)
-    seq = trace.moves if moves is None else moves
+    seq = iter_moves(trace.moves) if moves is None else moves
     indptr, nbrs = g.indptr, g.nbrs
     for step, (v, c) in enumerate(seq):
         if not 0 <= v < g.n:
@@ -132,23 +152,19 @@ def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:
         if not ok:
             raise ValueError(f"invalid trace at step {failure.step}: {failure.reason}")
     colors = trace.start.colors.copy()
-    hint = trace.start.palette_hint
-    for v, c in trace.moves:
+    for v, c in iter_moves(trace.moves):
         colors[v] = c
-        if c >= hint:
-            hint = c + 1
+    hint = max(trace.start.palette_hint, int(trace.moves[:, 1].max(initial=-1)) + 1)
     return Coloring(colors, hint)
 
 
-def reverse_moves(start: Coloring, moves: list[Move]) -> tuple[Coloring, list[Move]]:
-    """Reverse a move sequence: returns (end coloring, moves undoing the
+def reverse_moves(start: Coloring, moves: np.ndarray) -> tuple[Coloring, np.ndarray]:
+    """Reverse a move array: returns (end coloring, moves undoing the
     sequence from that end back to ``start``)."""
     colors = start.colors.copy()
-    old: list[Move] = []
-    hint = start.palette_hint
-    for v, c in moves:
-        old.append(Move(v, int(colors[v])))
+    prior = np.empty(moves.shape[0], dtype=np.int64)
+    for i, (v, c) in enumerate(iter_moves(moves)):
+        prior[i] = colors[v]
         colors[v] = c
-        if c >= hint:
-            hint = c + 1
-    return Coloring(colors, hint), old[::-1]
+    hint = max(start.palette_hint, int(moves[:, 1].max(initial=-1)) + 1)
+    return Coloring(colors, hint), np.column_stack((moves[::-1, 0], prior[::-1]))

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InfeasibleError
 from .graphs import (Graph, balanced_partition, count_edges_within, gen_gnm,
@@ -350,6 +349,7 @@ def run_scaling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sweep average degree d; for each d run greedy on a balanced planted
     instance with q = ceil(2 d / ln d) and record total colors against the
     d / ln d yardstick."""
+    from scipy import stats  # its only user; keeps it out of CLI start-up
     sweep = cfg.d_sweep or (cfg.d,)
     rows = []
     ratios_by_d = []

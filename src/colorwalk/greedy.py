@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import Coloring, Move, Trace
+from .coloring import Coloring, Trace
 from .errors import InfeasibleError, InternalInvariantError, PaletteError
 from .graphs import Partition, PlantedInstance, induced_subgraph
 from .rng import make_rng
@@ -199,13 +199,9 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
 
     in_u = np.ones(n, dtype=bool)
     u_count = n
-    class_of = part.class_of
-    class_remaining = np.array([c.shape[0] for c in part.classes], dtype=np.int64)
-    trajectory = [n]
     round_pools: list[list[int]] = []
     round_classes: list[int] = []
     finalized: list[int] = []
-    moves: list[Move] = []
     indptr, nbrs = g.indptr, g.nbrs
     rounds = 0
     k_ptr = 0
@@ -218,20 +214,16 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
         row = nbrs[indptr[v]:indptr[v + 1]]
         if strict and bool(np.any(colors[row] == target)):
             raise InternalInvariantError(f"move of {v} would be improper")
-        if colors[v] != target:
-            moves.append(Move(v, target))
-            colors[v] = target
+        colors[v] = target
         in_u[v] = False
-        class_remaining[class_of[v]] -= 1
         u_count -= 1
         finalized.append(v)
-        trajectory.append(u_count)
         in_cand[v] = False
         pool.append(pool[-1] - 1 - int(np.count_nonzero(in_cand[row])))
         in_cand[row] = False
 
     while u_count > L:
-        while k_ptr < q and class_remaining[k_ptr] == 0:
+        while k_ptr < q and not in_u[part.classes[k_ptr]].any():
             k_ptr += 1
         if k_ptr == q:
             raise InternalInvariantError("uncolored vertices left but all classes empty")
@@ -256,10 +248,15 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
         round_pools.append(pool)
         round_classes.append(k)
 
+    # each vertex moved at most once, when finalized, if its color changed
+    moved = np.array(finalized, dtype=np.int64)
+    moved = moved[colors[moved] != part.class_of[moved]]
+    trajectory = list(range(n, u_count - 1, -1))
+
     # residual pass on the leftover set
     residual_vertices = np.flatnonzero(in_u)
     residual_size = int(residual_vertices.shape[0])
-    residual_moves: list[Move] = []
+    residual_moves = np.empty((0, 2), dtype=np.int64)
     residual_degeneracy = 0
     fresh_used: list[int] = []
     if residual_size:
@@ -273,11 +270,10 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
             fresh = [c for c in pal[rounds:] if c not in present]
         residual_moves, residual_degeneracy = degeneracy_recolor_greedy(
             g_u, vmap, current, fresh)
-        fresh_used = sorted({c for _, c in residual_moves})
-        for v, c in residual_moves:
-            colors[v] = c
+        fresh_used = np.unique(residual_moves[:, 1]).tolist()
 
-    trace = Trace(start=inst.sigma, moves=moves + residual_moves)
+    phase1_moves = np.column_stack((moved, colors[moved]))
+    trace = Trace(start=inst.sigma, moves=np.concatenate((phase1_moves, residual_moves)))
     phase1 = rounds
     residual_colors = len(fresh_used)
     total = phase1 + residual_colors

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .coloring import Coloring, Move, Trace
+from .coloring import Coloring, Move, Trace, iter_moves
 from .errors import FormatError
 from .graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
                      partition_from_class_of)
@@ -65,6 +65,8 @@ def read_graph(path: str) -> Graph:
         n, m = _parse_ints(path, 1, header, 2)
         if n < 0 or m < 0:
             raise FormatError(path, 1, "negative n or m")
+        if n > 2 ** 31 - 1:  # Graph stores vertex ids as int32
+            raise FormatError(path, 1, f"n={n} exceeds the int32 vertex id range")
         if m > _comb2(n):
             raise FormatError(path, 1, f"m={m} exceeds the {_comb2(n)} vertex pairs of n={n}")
         codes = np.empty(m, dtype=np.int64)
@@ -123,7 +125,7 @@ def _read_int_column(path: str) -> np.ndarray:
 def write_trace(path: str, trace: Trace) -> None:
     def lines():
         yield f"{trace.start.n} {len(trace.moves)}"
-        for v, c in trace.moves:
+        for v, c in iter_moves(trace.moves):
             yield f"{v} {c}"
     _atomic_write(path, lines())
 

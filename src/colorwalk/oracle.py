@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .coloring import Coloring, Trace
+from .coloring import Coloring, Trace, iter_moves
 from .errors import CapError, InfeasibleError
 from .graphs import Graph
 from .rng import make_rng
@@ -153,7 +153,7 @@ def certify_trace(h: HqGraph, trace: Trace) -> bool:
     i = h.index.get(tuple(current))
     if i is None:
         return False
-    for v, c in trace.moves:
+    for v, c in iter_moves(trace.moves):
         if not 0 <= c < h.q:
             raise ValueError(f"move color {c} outside [0, {h.q})")
         current[v] = c

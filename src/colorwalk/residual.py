@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coloring import Coloring, Move
+from .coloring import Coloring, move_array
 from .errors import CapError, FreshColorError, InternalInvariantError
 from .graphs import Graph, degeneracy_order, induced_subgraph
 
@@ -35,7 +35,7 @@ def _check_fresh(fresh: list[int]) -> list[int]:
 
 
 def degeneracy_recolor_greedy(g_u: Graph, vmap: np.ndarray, current: Coloring,
-                              fresh: list[int]) -> tuple[list[Move], int]:
+                              fresh: list[int]) -> tuple[np.ndarray, int]:
     """Move every vertex of the induced subgraph to a fresh color.
 
     ``vmap[i]`` is the global label of local vertex i; ``current`` is the
@@ -54,20 +54,17 @@ def degeneracy_recolor_greedy(g_u: Graph, vmap: np.ndarray, current: Coloring,
         raise FreshColorError(
             f"need at least degeneracy+1 = {delta + 1} fresh colors, got {len(fresh)}")
     assigned = np.full(g_u.n, -1, dtype=np.int64)
-    moves: list[Move] = []
     for v in order.tolist():
         banned = {int(assigned[u]) for u in g_u.neighbors(v).tolist() if assigned[u] >= 0}
-        color = next(c for c in fresh if c not in banned)
-        assigned[v] = color
-        moves.append(Move(int(vmap[v]), color))
-    if len(moves) != g_u.n:
+        assigned[v] = next(c for c in fresh if c not in banned)
+    if order.shape[0] != g_u.n:
         raise InternalInvariantError("residual pass must move every vertex exactly once")
-    return moves, delta
+    return move_array(np.column_stack((vmap[order], assigned[order]))), delta
 
 
 def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
-                             fresh: list[int], base_path: list[Move],
-                             cap: int = INDUCTIVE_CAP) -> list[Move]:
+                             fresh: list[int], base_path,
+                             cap: int = INDUCTIVE_CAP) -> np.ndarray:
     """One inductive extension step of the replay construction.
 
     Let v be the final vertex of the degeneracy order of g_u (a minimum
@@ -85,7 +82,7 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
     if g_u.n > cap:
         raise CapError(f"inductive replay capped at {cap} vertices, got {g_u.n}")
     if g_u.n == 0:
-        return []
+        return move_array([])
     fresh_set = set(fresh)
     _, order = degeneracy_order(g_u)
     v_new = int(order[-1])
@@ -97,9 +94,8 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
 
     if g_u.n == 1:
         # base case: a single vertex moves straight to a fresh color
-        if colors[v_new_global] in fresh_set:
-            return []
-        return [Move(v_new_global, fresh[0])]
+        return move_array([] if colors[v_new_global] in fresh_set
+                          else [(v_new_global, fresh[0])])
 
     def valid_fresh_for(v: int) -> int:
         banned = {colors[u] for u in nbrs_global[v]}
@@ -109,7 +105,7 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
                 return c
         raise FreshColorError(f"no valid fresh color for vertex {v}")
 
-    out: list[Move] = []
+    out: list[tuple[int, int]] = []
 
     def emit(v: int, c: int) -> None:
         if colors[v] == c:
@@ -119,9 +115,9 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
             raise InternalInvariantError(
                 f"replay produced an improper move: {v} -> {c} blocked by {blockers}")
         colors[v] = c
-        out.append(Move(v, c))
+        out.append((v, c))
 
-    for w, c in base_path:
+    for w, c in move_array(base_path).tolist():
         blockers = [u for u in nbrs_global[w] if colors[u] == c]
         if blockers:
             if blockers != [v_new_global]:
@@ -135,11 +131,11 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
         emit(v_new_global, valid_fresh_for(v_new_global))
     if len(out) > 2 * len(base_path) + 1:
         raise InternalInvariantError("replay exceeded the 2r+1 length bound")
-    return out
+    return move_array(out)
 
 
 def inductive_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
-                      fresh: list[int], cap: int = INDUCTIVE_CAP) -> list[Move]:
+                      fresh: list[int], cap: int = INDUCTIVE_CAP) -> np.ndarray:
     """Full inductive construction: peel the graph down one minimum-degree
     vertex at a time, then extend the move sequence back up step by step.
     Endpoint matches the greedy pass's palette usage; length can be
@@ -148,7 +144,7 @@ def inductive_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
     if g_u.n > cap:
         raise CapError(f"inductive replay capped at {cap} vertices, got {g_u.n}")
     if g_u.n == 0:
-        return []
+        return move_array([])
     if g_u.n == 1:
         return inductive_replay_recolor(g_u, vmap, current, fresh, [], cap)
     _, order = degeneracy_order(g_u)

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .coloring import Coloring, Move, Trace, colors_used, hamming, is_proper, reverse_moves
+from .coloring import (Coloring, Trace, apply_trace, colors_used, hamming, is_proper,
+                       reverse_moves)
 from .errors import InternalInvariantError, PaletteError
 from .graphs import (GenParams, Graph, PlantedInstance, Partition,
                      partition_from_class_of)
@@ -25,9 +26,7 @@ from .greedy import GreedyReport, run_greedy_recolor
 def classes_from_coloring(c: Coloring) -> Partition:
     """Partition whose classes are the coloring's color classes, ordered by
     color id and renumbered densely from 0."""
-    used = np.unique(c.colors)
-    rank = {int(col): i for i, col in enumerate(used.tolist())}
-    class_of = np.array([rank[int(x)] for x in c.colors.tolist()], dtype=np.int32)
+    used, class_of = np.unique(c.colors, return_inverse=True)
     return partition_from_class_of(class_of, len(used))
 
 
@@ -62,7 +61,9 @@ def transform_to_target(g: Graph, sigma: Coloring, tau: Coloring, work_palette,
     Phase 1 recolors everything onto ``work_palette`` (greedy rounds, then
     the residual pass on whatever colors of the palette are left). Phase 2
     processes tau's color classes in ascending color order, each class in
-    ascending vertex order, moving every vertex to its tau color. The work
+    ascending vertex order, moving every vertex to its tau color. A class
+    is an independent set, so only vertices already holding its color can
+    block its moves, and the whole class moves at once. The work
     palette must avoid both sigma's and tau's colors; identical colorings
     short-circuit to the empty trace.
     """
@@ -79,32 +80,31 @@ def transform_with_report(g: Graph, sigma: Coloring, tau: Coloring, work_palette
     if not is_proper(g, tau):
         raise ValueError("tau is not a proper coloring")
     if hamming(sigma, tau) == 0:
-        return Trace(start=sigma.copy(), moves=[]), None
+        return Trace(start=sigma.copy()), None
     pal = _check_work_palette(work_palette, sigma, tau)
 
     inst = instance_from_coloring(g, sigma)
     report = run_greedy_recolor(inst, palette=pal, L=L)
-    moves = list(report.trace.moves)
-    colors = sigma.colors.copy()
-    for v, c in moves:
-        colors[v] = c
+    # the greedy trace starts at the renumbered classes; replay it on sigma
+    colors = apply_trace(g, Trace(sigma, report.trace.moves)).colors
 
     # phase 2: settle each target color class, ascending color then vertex
     indptr, nbrs = g.indptr, g.nbrs
     tau_arr = tau.colors
+    sweep = []
     for color in np.unique(tau_arr).tolist():
         members = np.flatnonzero(tau_arr == color)
-        for v in members.tolist():
-            if colors[v] == color:
-                continue
-            row = nbrs[indptr[v]:indptr[v + 1]]
-            if row.shape[0] and bool(np.any(colors[row] == color)):
-                raise InternalInvariantError(
-                    f"target-class move of vertex {v} would be improper")
-            moves.append(Move(v, int(color)))
-            colors[v] = color
-    if np.any(colors != tau_arr):
-        raise InternalInvariantError("transform did not reach the target coloring")
+        movers = members[colors[members] != color]
+        blocked = np.zeros(g.n, dtype=bool)
+        for h in np.flatnonzero(colors == color).tolist():
+            blocked[nbrs[indptr[h]:indptr[h + 1]]] = True
+        bad = movers[blocked[movers]]
+        if bad.size:
+            raise InternalInvariantError(f"target-class move of vertex {bad[0]} would be improper")
+        colors[movers] = color
+        sweep.append(movers)
+    sweep = np.concatenate(sweep)
+    moves = np.concatenate((report.trace.moves, np.column_stack((sweep, tau_arr[sweep]))))
     return Trace(start=sigma.copy(), moves=moves), report
 
 
@@ -130,7 +130,7 @@ def connect_pair(g: Graph, sigma: Coloring, sigma_prime: Coloring, tau: Coloring
     first = transform_to_target(g, sigma, tau, work_palette, L=L)
     second = transform_to_target(g, sigma_prime, tau, work_palette_prime, L=L)
     _, rev = reverse_moves(second.start, second.moves)
-    return Trace(start=sigma.copy(), moves=list(first.moves) + rev)
+    return Trace(start=sigma.copy(), moves=np.concatenate((first.moves, rev)))
 
 
 def color_budget_arithmetic(work_palette, tau: Coloring, q: int) -> dict:

@@ -173,7 +173,7 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
         for v, c in residual_moves:
             colors[v] = c
 
-    trace = Trace(start=inst.sigma, moves=moves + residual_moves)
+    trace = Trace(start=inst.sigma, moves=moves + list(residual_moves))
     phase1 = rounds
     residual_colors = len(fresh_used)
     total = phase1 + residual_colors

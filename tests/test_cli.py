@@ -84,7 +84,7 @@ class TestGenAndVerifyPipeline:
         g = cwio.read_graph(str(tmp_path / "g.txt"))
         start = cwio.read_coloring(str(tmp_path / "c.txt"))
         trace = cwio.read_trace(str(tmp_path / "t.txt"), start)
-        assert trace.moves, "need a nonempty trace to corrupt"
+        assert len(trace.moves), "need a nonempty trace to corrupt"
         v, _ = trace.moves[-1]
         colors = start.colors.copy()
         for vv, cc in trace.moves[:-1]:
@@ -222,6 +222,35 @@ class TestUsageAndErrors:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {tmp_path / 'g.txt'}:1: m=999999999999 exceeds")
+
+    def test_vertex_count_beyond_int32_exits_two(self, tmp_path):
+        (tmp_path / "g.txt").write_text("1000000000000 0\n")
+        (tmp_path / "c.txt").write_text("0\n")
+        (tmp_path / "t.txt").write_text("1 0\n")
+        code, out, err = run_cli(["verify", "--graph", tmp_path / "g.txt",
+                                  "--start", tmp_path / "c.txt",
+                                  "--trace", tmp_path / "t.txt"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {tmp_path / 'g.txt'}:1: n=1000000000000 exceeds the int32 vertex id range"]
+
+    def test_failed_allocation_exits_three(self, monkeypatch, capsys):
+        import colorwalk.cli as cli
+
+        def no_memory(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setitem(cli._COMMANDS, "params", no_memory)
+        assert main(["params", "--n", "10", "--d", "2", "--q", "3"]) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+    def test_startup_does_not_import_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, colorwalk.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",

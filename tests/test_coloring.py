@@ -199,6 +199,29 @@ class TestApplyTrace:
         assert ok
 
 
+class TestTraceConstruction:
+    def test_empty(self):
+        t = Trace(start=coloring_of([0, 1]))
+        assert t.moves.shape == (0, 2) and t.moves.dtype == np.int64
+        assert len(t) == 0
+
+    def test_move_list(self):
+        t = Trace(start=coloring_of([0, 1]), moves=[Move(0, 2), Move(1, 3)])
+        assert t.moves.tolist() == [[0, 2], [1, 3]]
+        assert t.moves.dtype == np.int64 and len(t) == 2
+
+    def test_array_kept(self):
+        moves = np.array([[1, 4]], dtype=np.int64)
+        t = Trace(start=coloring_of([0, 1]), moves=moves)
+        assert t.moves is moves
+
+    @pytest.mark.parametrize("moves", [[1, 2, 3], [(0, 1, 2)], np.zeros((2, 3)),
+                                       np.zeros((0, 3)), np.zeros((1, 2, 2))])
+    def test_wrong_shape_raises(self, moves):
+        with pytest.raises(ValueError, match="shape"):
+            Trace(start=coloring_of([0, 1]), moves=moves)
+
+
 class TestColoringType:
     def test_palette_hint_default(self):
         assert coloring_of([0, 3, 1]).palette_hint == 4

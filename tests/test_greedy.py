@@ -87,7 +87,7 @@ class TestGreedyRecolor:
         rep = run_greedy_recolor(inst, L=0)
         assert rep.rounds == 2
         assert rep.phase1_colors == 2
-        assert rep.trace.moves == []
+        assert rep.trace.moves.tolist() == []
         assert rep.residual_size == 0
         assert rep.total_colors == 2
 
@@ -162,16 +162,16 @@ class TestGreedyRecolor:
             assert ok, (sel, failure)
             reports[sel] = rep
         again = run_greedy_recolor(inst, selector="random", selector_seed=11)
-        assert again.trace.moves == reports["random"].trace.moves
+        assert np.array_equal(again.trace.moves, reports["random"].trace.moves)
         other = run_greedy_recolor(inst, selector="random", selector_seed=12)
-        assert other.trace.moves != reports["random"].trace.moves
+        assert not np.array_equal(other.trace.moves, reports["random"].trace.moves)
 
     def test_determinism(self):
         part = random_partition(200, 4, 500, seed=5)
         inst = gen_planted_m(part, 500, seed=6)
         a = run_greedy_recolor(inst)
         b = run_greedy_recolor(inst)
-        assert a.trace.moves == b.trace.moves
+        assert np.array_equal(a.trace.moves, b.trace.moves)
         assert a.trajectory == b.trajectory
 
     def test_residual_only_when_l_is_n(self):

@@ -42,7 +42,7 @@ def assert_same(got, want):
     assert isinstance(got, GreedyReport)
     assert np.array_equal(got.trace.start.colors, want.trace.start.colors)
     assert got.trace.start.palette_hint == want.trace.start.palette_hint
-    assert got.trace.moves == want.trace.moves
+    assert np.array_equal(got.trace.moves, want.trace.moves)
     for f in dataclasses.fields(GreedyReport):
         if f.name != "trace":
             assert getattr(got, f.name) == getattr(want, f.name), f.name

@@ -102,7 +102,7 @@ class TestTraceFiles:
         cwio.write_trace(str(path), t)
         assert path.read_text() == "3 2\n0 2\n2 3\n"
         back = cwio.read_trace(str(path), start)
-        assert back.moves == t.moves
+        assert np.array_equal(back.moves, t.moves)
 
     def test_streaming_iterator(self, tmp_path):
         path = tmp_path / "t.txt"

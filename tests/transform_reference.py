@@ -1,0 +1,54 @@
+"""Per-vertex reference for ``colorwalk.transform.transform_with_report``.
+
+This is the target sweep the library used before each target class moved
+as one batch: phase 1 is replayed move by move onto sigma, then every
+vertex of every target class is checked against its neighborhood and
+moved on its own, ascending color then vertex. It is kept as the oracle
+the library is checked against; it is not imported by the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from colorwalk.coloring import Move, Trace, hamming, is_proper
+from colorwalk.errors import InternalInvariantError
+from colorwalk.greedy import run_greedy_recolor
+from colorwalk.transform import _check_work_palette, instance_from_coloring
+
+
+def reference_transform_with_report(g, sigma, tau, work_palette, L=None):
+    """Same contract and result as ``transform_with_report``."""
+    if sigma.n != g.n or tau.n != g.n:
+        raise ValueError("coloring length does not match graph")
+    if not is_proper(g, sigma):
+        raise ValueError("sigma is not a proper coloring")
+    if not is_proper(g, tau):
+        raise ValueError("tau is not a proper coloring")
+    if hamming(sigma, tau) == 0:
+        return Trace(start=sigma.copy(), moves=[]), None
+    pal = _check_work_palette(work_palette, sigma, tau)
+
+    inst = instance_from_coloring(g, sigma)
+    report = run_greedy_recolor(inst, palette=pal, L=L)
+    moves = [Move(v, c) for v, c in report.trace.moves.tolist()]
+    colors = sigma.colors.copy()
+    for v, c in moves:
+        colors[v] = c
+
+    indptr, nbrs = g.indptr, g.nbrs
+    tau_arr = tau.colors
+    for color in np.unique(tau_arr).tolist():
+        members = np.flatnonzero(tau_arr == color)
+        for v in members.tolist():
+            if colors[v] == color:
+                continue
+            row = nbrs[indptr[v]:indptr[v + 1]]
+            if row.shape[0] and bool(np.any(colors[row] == color)):
+                raise InternalInvariantError(
+                    f"target-class move of vertex {v} would be improper")
+            moves.append(Move(v, int(color)))
+            colors[v] = color
+    if np.any(colors != tau_arr):
+        raise InternalInvariantError("transform did not reach the target coloring")
+    return Trace(start=sigma.copy(), moves=moves), report
