@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage or
-input-format error, 3 infeasible parameters, exhausted palette, size cap
-or out of memory. Generating subcommands require an explicit --seed.
+input-format error, 3 infeasible parameters, exhausted palette, size cap or
+out of memory, 4 internal error. Generating subcommands need an explicit --seed.
 """
 
 from __future__ import annotations
@@ -333,12 +333,12 @@ def main(argv=None) -> int:
     except (InfeasibleError, PaletteError, FreshColorError, CapError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ColorwalkError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ColorwalkError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a bug, never to be read as a failed verification
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

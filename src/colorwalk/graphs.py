@@ -45,9 +45,6 @@ class Graph:
         """Sorted neighbor array of v (a view, do not mutate)."""
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))
@@ -298,10 +295,6 @@ class Partition:
     def class_sizes(self) -> list[int]:
         return [int(c.shape[0]) for c in self.classes]
 
-    @property
-    def has_empty_classes(self) -> bool:
-        return any(c.shape[0] == 0 for c in self.classes)
-
     def internal_pair_count(self) -> int:
         return sum(_comb2(s) for s in self.class_sizes)
 
@@ -508,17 +501,31 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
     return delta, order
 
 
+def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Walk ``order`` and take each vertex that is still free; a taken
+    vertex and its neighbors stop being free (``free`` is updated in place).
+
+    Returns the taken vertices in scan order and the free count before the
+    scan and after each take.
+    """
+    indptr, nbrs = g.indptr, g.nbrs
+    taken: list[int] = []
+    counts = [int(np.count_nonzero(free))]
+    for v in order[free[order]].tolist():
+        if free[v]:
+            row = nbrs[indptr[v]:indptr[v + 1]]
+            counts.append(counts[-1] - 1 - int(np.count_nonzero(free[row])))
+            free[v] = False
+            free[row] = False
+            taken.append(v)
+    return np.array(taken, dtype=np.int64), counts
+
+
 def greedy_mis(g: Graph, order) -> np.ndarray:
     """Greedy maximal independent set: scan ``order``, add each vertex with
     no previously added neighbor. Returns the sorted member array."""
     order = np.asarray(order, dtype=np.int64)
     if order.shape[0] != g.n or (g.n and not np.array_equal(np.sort(order), np.arange(g.n))):
         raise ValueError("order must be a permutation of the vertices")
-    blocked = np.zeros(g.n, dtype=bool)
-    member = np.zeros(g.n, dtype=bool)
-    for v in order.tolist():
-        if not blocked[v]:
-            member[v] = True
-            blocked[g.neighbors(v)] = True
-            blocked[v] = True
-    return np.flatnonzero(member)
+    taken, _ = _scan_mis(g, order, np.ones(g.n, dtype=bool))
+    return np.sort(taken)

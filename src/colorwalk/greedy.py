@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import Coloring, Trace
 from .errors import InfeasibleError, InternalInvariantError, PaletteError
-from .graphs import Partition, PlantedInstance, induced_subgraph
+from .graphs import Partition, PlantedInstance, _scan_mis, induced_subgraph
 from .rng import make_rng
 
 SELECTORS = ("lowest", "random", "highest_degree")
@@ -202,25 +202,8 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     round_pools: list[list[int]] = []
     round_classes: list[int] = []
     finalized: list[int] = []
-    indptr, nbrs = g.indptr, g.nbrs
     rounds = 0
     k_ptr = 0
-
-    def finalize(v: int) -> None:
-        """Give v the round color. v and its neighbors leave the round's
-        pool, which is also its candidate set: a neighbor of a vertex
-        holding the round color can no longer take it."""
-        nonlocal u_count
-        row = nbrs[indptr[v]:indptr[v + 1]]
-        if strict and bool(np.any(colors[row] == target)):
-            raise InternalInvariantError(f"move of {v} would be improper")
-        colors[v] = target
-        in_u[v] = False
-        u_count -= 1
-        finalized.append(v)
-        in_cand[v] = False
-        pool.append(pool[-1] - 1 - int(np.count_nonzero(in_cand[row])))
-        in_cand[row] = False
 
     while u_count > L:
         while k_ptr < q and not in_u[part.classes[k_ptr]].any():
@@ -232,21 +215,23 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
                 f"palette exhausted after {rounds} rounds with {u_count} vertices uncolored",
                 rounds_completed=rounds)
         target = int(pal[rounds])
-        k = k_ptr
 
-        members = part.classes[k]
-        pool = [u_count]
-        in_cand = in_u.copy()
-        # line A: the whole remaining class becomes this round's color
-        for v in members[in_u[members]].tolist():
-            finalize(v)
-        # then the candidates in selector order, skipping those a member blocked
-        for v in order[in_cand[order]].tolist():
-            if in_cand[v]:
-                finalize(v)
+        # line A: the scan takes the whole remaining class first (it is
+        # independent), then the candidates in selector order. Its free set is
+        # the round's pool: a neighbor of a round-color vertex cannot join
+        taken, pool = _scan_mis(g, np.concatenate((part.classes[k_ptr], order)), in_u.copy())
+        if strict:
+            for v in taken.tolist():
+                if bool(np.any(colors[g.neighbors(v)] == target)):
+                    raise InternalInvariantError(f"move of {v} would be improper")
+                colors[v] = target
+        colors[taken] = target
+        in_u[taken] = False
+        u_count -= taken.shape[0]
+        finalized.extend(taken.tolist())
         rounds += 1
         round_pools.append(pool)
-        round_classes.append(k)
+        round_classes.append(k_ptr)
 
     # each vertex moved at most once, when finalized, if its color changed
     moved = np.array(finalized, dtype=np.int64)

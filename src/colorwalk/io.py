@@ -119,7 +119,11 @@ def _read_int_column(path: str) -> np.ndarray:
                 raise FormatError(path, lineno, "blank line")
             (value,) = _parse_ints(path, lineno, line, 1)
             out.append(value)
-    return np.asarray(out, dtype=np.int64)
+    try:
+        return np.asarray(out, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, x in enumerate(out) if not -2 ** 63 <= x < 2 ** 63)
+        raise FormatError(path, i + 1, f"value {out[i]} outside the int64 range") from None
 
 
 def write_trace(path: str, trace: Trace) -> None:
@@ -156,6 +160,8 @@ def iter_trace_moves(path: str) -> Iterator[Move]:
                 raise FormatError(path, lineno, f"vertex {v} out of range")
             if c < 0:
                 raise FormatError(path, lineno, "negative color")
+            if c >= 2 ** 63:  # colorings are int64
+                raise FormatError(path, lineno, f"color {c} outside the int64 range")
             yield Move(v, c)
         if f.readline():
             raise FormatError(path, k + 2, "trailing content after move list")

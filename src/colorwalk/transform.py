@@ -1,12 +1,12 @@
 """Coloring-to-coloring transformations through single-vertex moves.
 
-``transform_to_target`` first compresses the start coloring onto a work
-palette (greedy rounds plus residual pass), then walks the target's color
-classes in ascending color order, switching each vertex to its target
-color. Because the work palette avoids the target's colors, and vertices
-of one target class are pairwise non-adjacent, every intermediate
-coloring stays proper. ``connect_pair`` joins two colorings through a
-common target by reversing the second leg.
+``transform_to_target`` first moves every vertex of the start coloring
+onto a work palette (greedy rounds plus residual pass), then walks the
+target's color classes in ascending color order, switching each vertex to
+its target color. Because the work palette avoids the target's colors,
+and vertices of one target class are pairwise non-adjacent, every
+intermediate coloring stays proper. ``connect_pair`` joins two colorings
+through a common target by reversing the second leg.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .coloring import (Coloring, Trace, apply_trace, colors_used, hamming, is_proper,
                        reverse_moves)
-from .errors import InternalInvariantError, PaletteError
+from .errors import PaletteError
 from .graphs import (GenParams, Graph, PlantedInstance, Partition,
                      partition_from_class_of)
 from .greedy import GreedyReport, run_greedy_recolor
@@ -58,13 +58,13 @@ def transform_to_target(g: Graph, sigma: Coloring, tau: Coloring, work_palette,
                         L: int | None = None) -> Trace:
     """Trace from sigma to exactly tau.
 
-    Phase 1 recolors everything onto ``work_palette`` (greedy rounds, then
+    Phase 1 moves every vertex onto ``work_palette`` (greedy rounds, then
     the residual pass on whatever colors of the palette are left). Phase 2
     processes tau's color classes in ascending color order, each class in
     ascending vertex order, moving every vertex to its tau color. A class
-    is an independent set, so only vertices already holding its color can
-    block its moves, and the whole class moves at once. The work
-    palette must avoid both sigma's and tau's colors; identical colorings
+    is an independent set and no vertex holds its color yet, so the whole
+    class can move. The work palette must avoid both sigma's and tau's
+    colors, so a walk has exactly 2n moves; identical colorings
     short-circuit to the empty trace.
     """
     trace, _ = transform_with_report(g, sigma, tau, work_palette, L=L)
@@ -85,26 +85,16 @@ def transform_with_report(g: Graph, sigma: Coloring, tau: Coloring, work_palette
 
     inst = instance_from_coloring(g, sigma)
     report = run_greedy_recolor(inst, palette=pal, L=L)
-    # the greedy trace starts at the renumbered classes; replay it on sigma
-    colors = apply_trace(g, Trace(sigma, report.trace.moves)).colors
-
-    # phase 2: settle each target color class, ascending color then vertex
-    indptr, nbrs = g.indptr, g.nbrs
-    tau_arr = tau.colors
-    sweep = []
-    for color in np.unique(tau_arr).tolist():
-        members = np.flatnonzero(tau_arr == color)
-        movers = members[colors[members] != color]
-        blocked = np.zeros(g.n, dtype=bool)
-        for h in np.flatnonzero(colors == color).tolist():
-            blocked[nbrs[indptr[h]:indptr[h + 1]]] = True
-        bad = movers[blocked[movers]]
-        if bad.size:
-            raise InternalInvariantError(f"target-class move of vertex {bad[0]} would be improper")
-        colors[movers] = color
-        sweep.append(movers)
-    sweep = np.concatenate(sweep)
-    moves = np.concatenate((report.trace.moves, np.column_stack((sweep, tau_arr[sweep]))))
+    # phase 1 on sigma: each finalized vertex to its round color, then the
+    # residual moves. The greedy trace starts at the renumbered classes, where a
+    # round color equal to the class index is no move; on sigma it still is one
+    end = apply_trace(g, report.trace).colors
+    finalized = np.array(report.finalized, dtype=np.int64)
+    residual = report.trace.moves[len(report.trace.moves) - report.residual_size:]
+    # phase 2: every vertex now holds a work color, which no target class uses
+    sweep = np.argsort(tau.colors, kind="stable")
+    moves = np.concatenate((np.column_stack((finalized, end[finalized])), residual,
+                            np.column_stack((sweep, tau.colors[sweep]))))
     return Trace(start=sigma.copy(), moves=moves), report
 
 

@@ -9,6 +9,8 @@ from colorwalk import io as cwio
 from colorwalk import verify_trace
 from colorwalk.cli import main
 
+HUGE = "100000000000000000000000"  # beyond int64
+
 
 def run_cli(args, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "colorwalk", *map(str, args)],
@@ -166,6 +168,21 @@ class TestTransformCommands:
         from colorwalk import apply_trace
         assert apply_trace(g, trace).colors.tolist() == end.colors.tolist()
 
+    def test_round_color_equal_to_class_index(self, tmp_path):
+        # sigma's classes renumber to 0 and 1, the round colors of palette 0,1
+        (tmp_path / "g.txt").write_text("3 2\n0 1\n0 2\n")
+        (tmp_path / "sigma.txt").write_text("5\n6\n6\n")
+        (tmp_path / "tau.txt").write_text("6\n5\n5\n")
+        assert main(["transform", "--graph", str(tmp_path / "g.txt"),
+                     "--sigma", str(tmp_path / "sigma.txt"),
+                     "--tau", str(tmp_path / "tau.txt"),
+                     "--work-palette", "0,1", "--L", "0",
+                     "--out-trace", str(tmp_path / "t.txt")]) == 0
+        assert main(["verify", "--graph", str(tmp_path / "g.txt"),
+                     "--start", str(tmp_path / "sigma.txt"),
+                     "--trace", str(tmp_path / "t.txt")]) == 0
+        assert (tmp_path / "t.txt").read_text() == "3 6\n0 0\n1 1\n2 1\n1 5\n2 5\n0 6\n"
+
     def test_palette_overlap_exits_three(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("2 0\n")
         (tmp_path / "a.txt").write_text("0\n0\n")
@@ -243,6 +260,39 @@ class TestUsageAndErrors:
         monkeypatch.setitem(cli._COMMANDS, "params", no_memory)
         assert main(["params", "--n", "10", "--d", "2", "--q", "3"]) == 3
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+    def test_internal_error_exits_four(self, monkeypatch, capsys):
+        import colorwalk.cli as cli
+
+        def broken(args):
+            raise RuntimeError("something broke")
+        monkeypatch.setitem(cli._COMMANDS, "params", broken)
+        assert main(["params", "--n", "10", "--d", "2", "--q", "3"]) == 4
+        assert capsys.readouterr().err == "error: internal: RuntimeError: something broke\n"
+
+    @pytest.mark.parametrize("coloring, trace, bad, what", [
+        (f"0\n{HUGE}\n", "2 0\n", "c.txt", "value"),
+        ("0\n1\n", f"2 1\n0 {HUGE}\n", "t.txt", "color")], ids=["coloring", "trace"])
+    def test_value_beyond_int64_exits_two(self, tmp_path, capsys, coloring, trace, bad, what):
+        (tmp_path / "g.txt").write_text("2 1\n0 1\n")
+        (tmp_path / "c.txt").write_text(coloring)
+        (tmp_path / "t.txt").write_text(trace)
+        code = main(["verify", "--graph", str(tmp_path / "g.txt"),
+                     "--start", str(tmp_path / "c.txt"),
+                     "--trace", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / bad}:2: {what} {HUGE} outside the int64 range"]
+
+    def test_partition_class_beyond_int64_exits_two(self, tmp_path, capsys):
+        (tmp_path / "g.txt").write_text("2 0\n")
+        (tmp_path / "p.txt").write_text(f"0\n-{HUGE}\n")
+        code = main(["recolor", "--graph", str(tmp_path / "g.txt"),
+                     "--partition", str(tmp_path / "p.txt"),
+                     "--out-trace", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'p.txt'}:2: value -{HUGE} outside the int64 range"]
 
     def test_startup_does_not_import_scipy(self):
         proc = subprocess.run(

@@ -4,11 +4,10 @@ target sweep it replaced (``transform_reference``)."""
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorwalk import (InternalInvariantError, build_graph, coloring_of,
-                       transform_with_report, verify_trace)
+from colorwalk import (apply_trace, build_graph, coloring_of, transform_with_report,
+                       verify_trace)
 from colorwalk.greedy import GreedyReport
 from transform_reference import reference_transform_with_report
 
@@ -48,8 +47,8 @@ def first_fit(g, order):
 def problems(draw):
     """A graph, two proper colorings on arbitrary (not dense) color ids, a
     work palette and L. A "low" work palette starts with the dense class
-    indices phase 1 runs on, which leaves vertices on their sigma colors
-    and lets the target sweep block."""
+    indices phase 1 runs on, so some round colors equal their class
+    index."""
     n = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2**32 - 1))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
@@ -81,12 +80,16 @@ def test_matches_reference_hypothesis(problem):
         assert ok, failure
 
 
-def test_blocked_class_names_first_vertex():
-    # sigma's classes renumber to 0 and 1, so the work palette [0, 1] gives
-    # phase 1 nothing to move and vertex 1 is blocked by vertex 0 holding 5
+def test_round_color_equal_to_class_index_still_moves():
+    # sigma's classes renumber to 0 and 1, so with the work palette [0, 1]
+    # each round color equals its class index; phase 1 must still move both
+    # classes off sigma's colors, or vertex 0 keeps 5 and blocks vertex 1
     g = build_graph(3, [(0, 1), (0, 2)])
     sigma, tau = coloring_of([5, 6, 6]), coloring_of([6, 5, 5])
-    with pytest.raises(InternalInvariantError, match="vertex 1 would"):
-        transform_with_report(g, sigma, tau, [0, 1], L=0)
-    assert_same(outcome(transform_with_report, g, sigma, tau, [0, 1], L=0),
-                outcome(reference_transform_with_report, g, sigma, tau, [0, 1], L=0))
+    got = transform_with_report(g, sigma, tau, [0, 1], L=0)
+    trace = got[0]
+    assert trace.moves.tolist() == [[0, 0], [1, 1], [2, 1], [1, 5], [2, 5], [0, 6]]
+    ok, failure = verify_trace(g, trace)
+    assert ok, failure
+    assert apply_trace(g, trace).colors.tolist() == [6, 5, 5]
+    assert_same(got, reference_transform_with_report(g, sigma, tau, [0, 1], L=0))

@@ -1,17 +1,18 @@
 """Per-vertex reference for ``colorwalk.transform.transform_with_report``.
 
 This is the target sweep the library used before each target class moved
-as one batch: phase 1 is replayed move by move onto sigma, then every
-vertex of every target class is checked against its neighborhood and
-moved on its own, ascending color then vertex. It is kept as the oracle
-the library is checked against; it is not imported by the package.
+as one batch: phase 1 (every finalized vertex to its round color, then the
+residual moves) is replayed move by move onto sigma, then every vertex of
+every target class is checked against its neighborhood and moved on its
+own, ascending color then vertex. It is kept as the oracle the library is
+checked against; it is not imported by the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from colorwalk.coloring import Move, Trace, hamming, is_proper
+from colorwalk.coloring import Move, Trace, apply_trace, hamming, is_proper
 from colorwalk.errors import InternalInvariantError
 from colorwalk.greedy import run_greedy_recolor
 from colorwalk.transform import _check_work_palette, instance_from_coloring
@@ -31,7 +32,9 @@ def reference_transform_with_report(g, sigma, tau, work_palette, L=None):
 
     inst = instance_from_coloring(g, sigma)
     report = run_greedy_recolor(inst, palette=pal, L=L)
-    moves = [Move(v, c) for v, c in report.trace.moves.tolist()]
+    end = apply_trace(g, report.trace).colors
+    residual = report.trace.moves.tolist()[len(report.trace.moves) - report.residual_size:]
+    moves = [Move(v, int(end[v])) for v in report.finalized] + [Move(v, c) for v, c in residual]
     colors = sigma.colors.copy()
     for v, c in moves:
         colors[v] = c
