@@ -9,6 +9,7 @@ always sit at Hamming distance exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -18,7 +19,8 @@ from .graphs import Graph
 REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
 REASON_BAD_START = "start coloring improper"
-CHUNK = 1 << 16  # move rows per .tolist() conversion; bounds the Python-int copy
+CHUNK = 1 << 16  # move rows per verify pass and per .tolist() conversion
+NEIGHBOR_BUDGET = 1 << 18  # neighbor entries one verify pass gathers at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,35 +115,165 @@ def colors_used(c: Coloring) -> int:
     return int(np.unique(c.colors).shape[0]) if c.n else 0
 
 
+def _bad_move(step: int, v: int, c: int, n: int) -> ValueError:
+    """The error of a move with a vertex outside [0, n), a negative color or
+    (only from an iterator) a color beyond int64, checked in that order."""
+    if not 0 <= v < n:
+        return ValueError(f"step {step}: vertex {v} out of range")
+    if c < 0:
+        return ValueError(f"step {step}: negative color")
+    return ValueError(f"step {step}: color {c} outside the int64 range")
+
+
+def _verify_rows(g: Graph, colors: np.ndarray, moves: np.ndarray,
+                 step: int) -> TraceFailure | None:
+    """Check the (k, 2) move rows against ``colors`` and apply those that pass.
+
+    ``moves[0]`` is trace step ``step``. The rows go in passes of at most
+    CHUNK rows and NEIGHBOR_BUDGET neighbor entries (``_check_pass``). A
+    pass also ends before the first malformed row, whose ValueError is
+    raised once the rows before it have passed. Returns the first failure,
+    after which ``colors`` must be dropped.
+    """
+    n = g.n
+    lo = 0
+    while lo < moves.shape[0]:
+        v, c = moves[lo:lo + CHUNK, 0], moves[lo:lo + CHUNK, 1]
+        bad = (v < 0) | (v >= n) | (c < 0)
+        if bad[0]:
+            raise _bad_move(step + lo, v[0], c[0], n)
+        if bad.any():
+            cut = int(np.argmax(bad))
+            v, c = v[:cut], c[:cut]
+        p, failure = _check_pass(g, colors, v, c)
+        if failure is not None:
+            return TraceFailure(step + lo + failure.step, failure.reason)
+        lo += p
+    return None
+
+
+def _pass_entries(g: Graph, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(p, row, u): the first p vertices of ``v`` hold at most
+    NEIGHBOR_BUDGET neighbor entries (p >= 1), and u[i] is a neighbor of
+    v[row[i]], over all of them in row order."""
+    start = g.indptr[v]
+    deg = g.indptr[v + 1] - start
+    ends = np.cumsum(deg)
+    p = max(1, int(np.searchsorted(ends, NEIGHBOR_BUDGET, side="right")))
+    start, deg, ends = start[:p], deg[:p], ends[:p]
+    row = np.repeat(np.arange(p, dtype=np.int32), deg)  # p <= CHUNK < 2**31
+    u = g.nbrs[np.arange(int(ends[-1])) + np.repeat(start - ends + deg, deg)]
+    return p, row, u
+
+
+def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray,
+                c: np.ndarray) -> tuple[int, TraceFailure | None]:
+    """(p, failure): one pass over the first p moves v[j] -> c[j], and its
+    first failing row as ``failure.step``. If none fails, ``colors`` takes
+    the p moves; if one does, ``colors`` is left with its movers flagged
+    and must be dropped.
+
+    A vertex may move any number of times in the pass. The color it holds
+    just before row j is the new color of its latest earlier row, or its
+    color in ``colors``. The pass's movers are flagged by flipping their
+    colors negative for one gather, and only their neighbor entries are
+    looked up, by one searchsorted on the keys vertex * p + row. The
+    scratch lives only for the call.
+    """
+    p, row, u = _pass_entries(g, v)
+    v, c = v[:p], c[:p]
+    order = np.argsort(v, kind="stable")
+    seen = v[order]
+    keys = seen * p + order  # ascending: by vertex, then by row
+    repeat = np.flatnonzero(seen[1:] == seen[:-1])  # sorted position before a repeat
+    last = np.ones(p, dtype=bool)  # each vertex's last row in the pass
+    last[repeat] = False
+    moved = seen[last]
+    held_v = colors[v]  # the moved vertex's color just before its row
+    held_v[order[repeat + 1]] = c[order[repeat]]
+    # colors are >= 0, so a negative color marks a mover; a pass that
+    # passes writes every mover's new color below
+    colors[moved] = ~colors[moved]
+    held = colors[u]
+    hit = np.flatnonzero(held < 0)  # entries whose vertex moves in the pass
+    held[hit] = ~held[hit]
+    query = u[hit].astype(np.int64)
+    query *= p
+    query += row[hit]
+    k = np.searchsorted(keys, query)
+    k -= 1  # the latest key below u's at row
+    earlier = (k >= 0) & (seen[k] == u[hit])  # it is u's: u moved before row
+    held[hit[earlier]] = c[order[k[earlier]]]
+    noop = np.flatnonzero(held_v == c)
+    clash = row[np.flatnonzero(held == c[row])]
+    first_noop = int(noop[0]) if noop.size else p
+    first_clash = int(clash[0]) if clash.size else p
+    if first_noop < p and first_noop <= first_clash:
+        return p, TraceFailure(first_noop, REASON_NOOP)
+    if first_clash < p:
+        return p, TraceFailure(first_clash, REASON_MONOCHROMATIC)
+    colors[moved] = c[order[last]]
+    return p, None
+
+
+def _pull(source: Iterator, vertices: list, new_colors: list) -> Exception | None:
+    """Append up to CHUNK (vertex, new_color) moves of ``source`` to the two
+    lists as ints; returns what the source, unpacking a move or converting
+    a value with operator.index raised instead of raising it, so the moves
+    read before it can be verified first."""
+    try:
+        for v, c in source:
+            v, c = index(v), index(c)
+            vertices.append(v)
+            new_colors.append(c)
+            if len(vertices) == CHUNK:
+                break
+    except Exception as exc:
+        return exc
+    return None
+
+
 def verify_trace(g: Graph, trace: Trace,
                  moves: Iterable[Move] | None = None) -> tuple[bool, TraceFailure | None]:
-    """Streaming validity check of a trace.
+    """Validity check of a trace in bounded chunks.
 
-    Walks the moves once, keeping only the current coloring (O(n) memory)
-    and inspecting just the moved vertex's neighborhood per step. Reports
-    the first violating step: a move that recreates a monochromatic edge,
-    or a move that does not change its vertex's color. ``moves`` overrides
-    ``trace.moves`` so callers can stream from disk.
+    Keeps only the current coloring and one pass's scratch (at most CHUNK
+    moves and NEIGHBOR_BUDGET neighbor entries, or one vertex's
+    neighborhood), whatever the trace's length. Reports the
+    first violating step: a move that recreates a monochromatic edge, or
+    a move that does not change its vertex's color (a no-op wins a tie).
+    ``moves`` overrides ``trace.moves`` so callers can stream from disk;
+    it is read CHUNK moves at a time, and an exception it raises surfaces
+    only if every move read before it passes.
     """
     if trace.start.n != g.n:
         raise ValueError("start coloring length does not match graph")
     colors = trace.start.colors.copy()
     if g.m and np.any(colors[g.edge_u] == colors[g.edge_v]):
         return False, TraceFailure(-1, REASON_BAD_START)
-    seq = iter_moves(trace.moves) if moves is None else moves
-    indptr, nbrs = g.indptr, g.nbrs
-    for step, (v, c) in enumerate(seq):
-        if not 0 <= v < g.n:
-            raise ValueError(f"step {step}: vertex {v} out of range")
-        if c < 0:
-            raise ValueError(f"step {step}: negative color")
-        if colors[v] == c:
-            return False, TraceFailure(step, REASON_NOOP)
-        row = nbrs[indptr[v]:indptr[v + 1]]
-        if row.shape[0] and bool(np.any(colors[row] == c)):
-            return False, TraceFailure(step, REASON_MONOCHROMATIC)
-        colors[v] = c
-    return True, None
+    if moves is None:
+        failure = _verify_rows(g, colors, trace.moves, 0)
+        return failure is None, failure
+    source, step = iter(moves), 0
+    while True:
+        vertices: list = []
+        new_colors: list = []
+        error = _pull(source, vertices, new_colors)
+        try:
+            rows = np.array((vertices, new_colors), dtype=np.int64).T
+        except OverflowError:  # the first move outside int64 is a bad move
+            i = next(i for i, move in enumerate(zip(vertices, new_colors))
+                     if not all(-2 ** 63 <= x < 2 ** 63 for x in move))
+            error = _bad_move(step + i, vertices[i], new_colors[i], g.n)
+            rows = np.array((vertices[:i], new_colors[:i]), dtype=np.int64).T
+        failure = _verify_rows(g, colors, rows, step)
+        if failure is not None:
+            return False, failure
+        if error is not None:
+            raise error
+        if len(vertices) < CHUNK:
+            return True, None
+        step += CHUNK
 
 
 def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:
@@ -152,8 +284,10 @@ def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:
         if not ok:
             raise ValueError(f"invalid trace at step {failure.step}: {failure.reason}")
     colors = trace.start.colors.copy()
-    for v, c in iter_moves(trace.moves):
-        colors[v] = c
+    # each moved vertex ends on its last move: the first one in reverse order
+    backwards = trace.moves[::-1]
+    moved, last = np.unique(backwards[:, 0], return_index=True)
+    colors[moved] = backwards[last, 1]
     hint = max(trace.start.palette_hint, int(trace.moves[:, 1].max(initial=-1)) + 1)
     return Coloring(colors, hint)
 

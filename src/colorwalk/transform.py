@@ -11,12 +11,12 @@ through a common target by reversing the second leg.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from .coloring import (Coloring, Trace, apply_trace, colors_used, hamming, is_proper,
-                       reverse_moves)
+from .coloring import Coloring, Trace, colors_used, hamming, is_proper, reverse_moves
 from .errors import PaletteError
 from .graphs import (GenParams, Graph, PlantedInstance, Partition,
                      partition_from_class_of)
@@ -51,6 +51,8 @@ def _check_work_palette(work_palette, sigma: Coloring, tau: Coloring) -> list[in
     overlap = sigma_colors.intersection(pal)
     if overlap:
         raise PaletteError(f"work palette overlaps start colors: {sorted(overlap)[:5]}")
+    if any(c < 0 for c in pal):
+        raise PaletteError("palette colors must be nonnegative")
     return pal
 
 
@@ -84,17 +86,21 @@ def transform_with_report(g: Graph, sigma: Coloring, tau: Coloring, work_palette
     pal = _check_work_palette(work_palette, sigma, tau)
 
     inst = instance_from_coloring(g, sigma)
-    report = run_greedy_recolor(inst, palette=pal, L=L)
-    # phase 1 on sigma: each finalized vertex to its round color, then the
-    # residual moves. The greedy trace starts at the renumbered classes, where a
-    # round color equal to the class index is no move; on sigma it still is one
-    end = apply_trace(g, report.trace).colors
-    finalized = np.array(report.finalized, dtype=np.int64)
-    residual = report.trace.moves[len(report.trace.moves) - report.residual_size:]
+    # greedy runs on the class indices 0..k-1, which may share ids with the
+    # palette, so it gets the stand-in palette k, k+1, ...; stand-in k+i is
+    # pal[i]. No stand-in is a class index, so every greedy move changes a
+    # color, and the greedy trace in real colors is phase 1 on sigma: each
+    # finalized vertex to its round color, then each residual vertex
+    k = inst.partition.q
+    report = run_greedy_recolor(inst, palette=range(k, k + len(pal)), L=L)
+    stand_in = report.trace.moves
+    phase1 = np.column_stack((stand_in[:, 0], np.array(pal, dtype=np.int64)[stand_in[:, 1] - k]))
+    report = dataclasses.replace(
+        report, trace=Trace(start=sigma.copy(), moves=phase1),
+        residual_fresh_used=sorted(pal[c - k] for c in report.residual_fresh_used))
     # phase 2: every vertex now holds a work color, which no target class uses
     sweep = np.argsort(tau.colors, kind="stable")
-    moves = np.concatenate((np.column_stack((finalized, end[finalized])), residual,
-                            np.column_stack((sweep, tau.colors[sweep]))))
+    moves = np.concatenate((phase1, np.column_stack((sweep, tau.colors[sweep]))))
     return Trace(start=sigma.copy(), moves=moves), report
 
 

@@ -102,6 +102,23 @@ class TestGenAndVerifyPipeline:
         assert code == 1
         assert "invalid at step" in captured.out
 
+    @pytest.mark.parametrize("lines, code, out, err", [
+        ("0 1\n2 2\n1 x\n0 2\n", 1, "invalid at step 0: monochromatic edge created\n", ""),
+        ("0 2\n1 x\n0 1\n0 2\n", 2, "", "error: {trace}:3: non-integer field in '1 x\\n'\n"),
+        ("0 2\n1 2 3\n2 1\n2 0\n", 2, "", "error: {trace}:3: expected 2 fields, found 3\n"),
+    ], ids=["invalid-step-first", "malformed-line-first", "wrong-field-count-first"])
+    def test_streaming_order(self, tmp_path, capsys, lines, code, out, err):
+        # verify reads the trace in chunks, yet reports what comes first in
+        # the file: an invalid step before a malformed line, or the reverse
+        (tmp_path / "g.txt").write_text("3 2\n0 1\n1 2\n")
+        (tmp_path / "c.txt").write_text("0\n1\n0\n")
+        (tmp_path / "t.txt").write_text("3 4\n" + lines)
+        assert main(["verify", "--graph", str(tmp_path / "g.txt"),
+                     "--start", str(tmp_path / "c.txt"),
+                     "--trace", str(tmp_path / "t.txt")]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err.format(trace=tmp_path / "t.txt"))
+
 
 class TestOracleCommand:
     def test_k3_fixture_output(self, tmp_path, capsys):
@@ -182,6 +199,29 @@ class TestTransformCommands:
                      "--start", str(tmp_path / "sigma.txt"),
                      "--trace", str(tmp_path / "t.txt")]) == 0
         assert (tmp_path / "t.txt").read_text() == "3 6\n0 0\n1 1\n2 1\n1 5\n2 5\n0 6\n"
+
+    @pytest.mark.parametrize("palette", ["1,0", "7,0,1"])
+    def test_palette_below_class_count(self, tmp_path, capsys, palette):
+        # palettes disjoint from sigma's and tau's colors whose entries equal
+        # the class indices 0, 1 that sigma's two classes renumber to
+        (tmp_path / "g.txt").write_text("3 2\n0 1\n0 2\n")
+        (tmp_path / "sigma.txt").write_text("5\n6\n6\n")
+        (tmp_path / "tau.txt").write_text("6\n5\n5\n")
+        assert main(["transform", "--graph", str(tmp_path / "g.txt"),
+                     "--sigma", str(tmp_path / "sigma.txt"),
+                     "--tau", str(tmp_path / "tau.txt"),
+                     "--work-palette", palette, "--L", "0",
+                     "--out-trace", str(tmp_path / "t.txt")]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(tmp_path / "g.txt"),
+                     "--start", str(tmp_path / "sigma.txt"),
+                     "--trace", str(tmp_path / "t.txt")]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        g = cwio.read_graph(str(tmp_path / "g.txt"))
+        trace = cwio.read_trace(str(tmp_path / "t.txt"),
+                                cwio.read_coloring(str(tmp_path / "sigma.txt")))
+        from colorwalk import apply_trace
+        assert apply_trace(g, trace).colors.tolist() == [6, 5, 5]
 
     def test_palette_overlap_exits_three(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("2 0\n")

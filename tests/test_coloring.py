@@ -198,6 +198,22 @@ class TestApplyTrace:
         ok, _ = verify_trace(g, Trace(start=start), moves=gen())
         assert ok
 
+    def test_stream_stops_within_one_chunk_of_a_failure(self):
+        # a million-move source failing at step 5 is read one chunk deep
+        from colorwalk.coloring import CHUNK
+        g = build_graph(2, [(0, 1)])
+        pulled = 0
+
+        def gen():
+            nonlocal pulled
+            for i in range(10 ** 6):
+                pulled += 1
+                yield Move(0, 1 if i == 5 else 2 + i % 2)
+
+        ok, failure = verify_trace(g, Trace(start=coloring_of([0, 1])), moves=gen())
+        assert (ok, failure) == (False, (5, REASON_MONOCHROMATIC))
+        assert pulled <= CHUNK
+
 
 class TestTraceConstruction:
     def test_empty(self):

@@ -47,7 +47,7 @@ def first_fit(g, order):
 def problems(draw):
     """A graph, two proper colorings on arbitrary (not dense) color ids, a
     work palette and L. A "low" work palette starts with the dense class
-    indices phase 1 runs on, so some round colors equal their class
+    indices phase 1 runs on, so some palette entries equal a class
     index."""
     n = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2**32 - 1))

@@ -1,0 +1,256 @@
+"""Differential test: the chunked ``verify_trace`` kernel and the loop-free
+``apply_trace`` against the per-move loops they replaced
+(``verify_reference``), on the in-memory array and on the ``moves=``
+iterator, with the pass limits shrunk so short traces span many passes."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import colorwalk.coloring as coloring
+from colorwalk import Move, Trace, apply_trace, build_graph, coloring_of, verify_trace
+from colorwalk.coloring import REASON_BAD_START, REASON_MONOCHROMATIC, REASON_NOOP
+from verify_reference import reference_apply_colors, reference_verify_trace
+
+SMALL = {"CHUNK": 3, "NEIGHBOR_BUDGET": 4}
+
+
+class SourceError(Exception):
+    pass
+
+
+def outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except Exception as exc:  # both sides must fail the same way
+        return type(exc), str(exc)
+
+
+def source(moves, raise_at=None):
+    """The moves one at a time; raises SourceError before move ``raise_at``."""
+    for i, move in enumerate(moves):
+        if i == raise_at:
+            raise SourceError(f"source failed before move {i}")
+        yield Move(*move)
+    if raise_at == len(moves):
+        raise SourceError("source failed at the end")
+
+
+def both(g, start, moves, raise_at=None):
+    """(kernel, reference) outcomes on the array and on the iterator."""
+    trace = Trace(start=start, moves=np.array(moves, dtype=np.int64).reshape(-1, 2))
+    return [(outcome(verify_trace, g, trace), outcome(reference_verify_trace, g, trace)),
+            (outcome(verify_trace, g, Trace(start=start), moves=source(moves, raise_at)),
+             outcome(reference_verify_trace, g, Trace(start=start),
+                     moves=source(moves, raise_at)))]
+
+
+@pytest.fixture(params=[SMALL, None], ids=["small-passes", "default-passes"])
+def limits(request, monkeypatch):
+    for name, value in (request.param or {}).items():
+        monkeypatch.setattr(coloring, name, value)
+
+
+@st.composite
+def cases(draw):
+    """A graph, a start coloring and a move list that is mostly a valid walk,
+    so failures fall anywhere in it. Some graphs hide edges from the start
+    check (their CSR keeps them), which makes a start improper only where a
+    move looks, and a no-op and a clash can meet at one step."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph(n, edges)
+    if edges and draw(st.booleans()):
+        shown = build_graph(n, draw(st.lists(st.sampled_from(edges), unique=True)))
+        g = dataclasses.replace(g, edge_u=shown.edge_u, edge_v=shown.edge_v)
+    q = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    start = coloring_of(colors, q + 2)
+    moves = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["walk"] * 4 + ["any", "noop", "vertex", "color"]))
+        v = draw(st.integers(0, n - 1))
+        c = draw(st.integers(0, q + 1))
+        if kind == "walk":
+            free = [x for x in range(q + 2)
+                    if x != colors[v] and all(colors[u] != x for u in g.neighbors(v).tolist())]
+            c = draw(st.sampled_from(free)) if free else c
+        elif kind == "noop":
+            c = colors[v]
+        elif kind == "vertex":
+            v = draw(st.sampled_from([-1, n, n + 3]))
+        elif kind == "color":
+            c = -1
+        moves.append((v, c))
+        if 0 <= v < n and c >= 0:
+            colors[v] = c
+    raise_at = draw(st.one_of(st.none(), st.integers(0, len(moves))))
+    return g, start, moves, raise_at
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cases())
+def test_matches_reference_hypothesis(case):
+    g, start, moves, raise_at = case
+    for limits in (SMALL, {"CHUNK": 1, "NEIGHBOR_BUDGET": 1},
+                   {"CHUNK": 3, "NEIGHBOR_BUDGET": 64}, None):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in (limits or {}).items():
+                mp.setattr(coloring, name, value)
+            for got, want in both(g, start, moves, raise_at):
+                assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_apply_trace_matches_loop(case):
+    g, start, moves, _ = case
+    moves = [(v, c) for v, c in moves if 0 <= v < g.n and c >= 0]
+    trace = Trace(start=start, moves=moves)
+    end = apply_trace(g, trace)
+    assert np.array_equal(end.colors, reference_apply_colors(trace))
+    assert end.palette_hint == max(start.palette_hint, max((c + 1 for _, c in moves), default=0))
+
+
+def test_apply_trace_last_move_wins():
+    g = build_graph(3, [])
+    moves = [(0, 4), (1, 5), (0, 6), (0, 2), (2, 1), (1, 3)] * 3 + [(0, 7)]
+    end = apply_trace(g, Trace(start=coloring_of([0, 0, 0]), moves=moves))
+    assert end.colors.tolist() == [7, 3, 1]
+
+
+def test_repeated_vertex_inside_a_chunk(limits):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    start = coloring_of([0, 1, 0])
+    walk = [(0, 2), (0, 3), (1, 2), (1, 4), (0, 1), (2, 4)]
+    for got, want in both(g, start, walk):
+        assert got == want == (False, (5, REASON_MONOCHROMATIC))
+    for got, want in both(g, start, walk[:5]):
+        assert got == want == (True, None)
+
+
+def test_noop(limits):
+    g = build_graph(3, [(0, 1)])
+    for got, want in both(g, coloring_of([0, 1, 2]), [(2, 3), (0, 2), (1, 0), (1, 0)]):
+        assert got == want == (False, (3, REASON_NOOP))
+
+
+def test_noop_wins_a_tie_with_a_clash(limits):
+    # the start check sees no edge, the move check sees 0-1: move 1 -> 0
+    # is a no-op and clashes with vertex 0 at the same step
+    full = build_graph(3, [(0, 1)])
+    g = dataclasses.replace(full, edge_u=full.edge_u[:0], edge_v=full.edge_v[:0])
+    for got, want in both(g, coloring_of([0, 0, 1]), [(2, 3), (2, 1), (1, 0)]):
+        assert got == want == (False, (2, REASON_NOOP))
+
+
+def test_marks_do_not_leak_between_passes(limits):
+    # with three rows per pass, (1, 7) opens the second pass: vertex 1 must
+    # see vertex 0's color 2 from the first pass, and the mover flags of the
+    # first pass must be gone
+    g = build_graph(4, [(0, 1)])
+    for got, want in both(g, coloring_of([0, 1, 0, 0]),
+                          [(2, 1), (0, 2), (2, 5), (3, 7), (1, 7), (1, 2)]):
+        assert got == want == (False, (5, REASON_MONOCHROMATIC))
+
+
+def test_long_walk_on_few_vertices(limits):
+    # every vertex moves thousands of times, so each pass repeats vertices
+    # (the shape of a replayed inductive recoloring on at most 20 vertices)
+    rng = np.random.default_rng(7)
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
+    first = [0, 1, 0, 1, 1, 0]
+    colors, moves = list(first), []
+    while len(moves) < 20000:
+        v, c = int(rng.integers(6)), int(rng.integers(4))
+        if c != colors[v] and all(colors[u] != c for u in g.neighbors(v).tolist()):
+            colors[v] = c
+            moves.append((v, c))
+            if len(moves) == 12000:
+                clash = (0, colors[1])  # vertex 0 onto its neighbor's color
+    start = coloring_of(first, 4)
+    for got, want in both(g, start, moves):
+        assert got == want == (True, None)
+    for got, want in both(g, start, moves[:15000] + [moves[14999]] + moves[15000:]):
+        assert got == want == (False, (15000, REASON_NOOP))
+    for got, want in both(g, start, moves[:12000] + [clash] + moves[12000:]):
+        assert got == want == (False, (12000, REASON_MONOCHROMATIC))
+
+
+def test_improper_start(limits):
+    g = build_graph(2, [(0, 1)])
+    for got, want in both(g, coloring_of([1, 1]), [(9, 0)]):
+        assert got == want == (False, (-1, REASON_BAD_START))
+
+
+@pytest.mark.parametrize("bad, text", [((-1, 0), "step 4: vertex -1 out of range"),
+                                       ((5, 0), "step 4: vertex 5 out of range"),
+                                       ((5, -2), "step 4: vertex 5 out of range"),
+                                       ((1, -2), "step 4: negative color")])
+def test_bad_row_raises_after_the_rows_before_it(limits, bad, text):
+    g = build_graph(5, [(0, 1), (1, 2)])
+    start = coloring_of([0, 1, 0, 0, 0])
+    walk = [(0, 2), (3, 1), (0, 3), (4, 2)]
+    for got, want in both(g, start, walk + [bad, (0, 0)]):
+        assert got == want == (ValueError, text)
+    # a failure before the bad row wins
+    for got, want in both(g, start, walk[:2] + [(1, 2)] + walk[2:] + [bad]):
+        assert got == want == (False, (2, REASON_MONOCHROMATIC))
+
+
+def test_source_raising_partway(limits):
+    g = build_graph(3, [(0, 1)])
+    start = coloring_of([0, 1, 0])
+    walk = [(2, 1), (0, 2), (2, 3), (1, 0), (0, 1), (2, 0)]
+    for raise_at in range(len(walk) + 1):
+        (_, (got, want)) = both(g, start, walk, raise_at)
+        message = ("source failed at the end" if raise_at == len(walk)
+                   else f"source failed before move {raise_at}")
+        assert got == want == (SourceError, message)
+    # rows read before the source fails are verified first: failure wins
+    (_, (got, want)) = both(g, start, [(2, 1), (0, 1), (2, 3)], raise_at=2)
+    assert got == want == (False, (1, REASON_MONOCHROMATIC))
+
+
+def test_malformed_source_row_matches_loop(limits):
+    g = build_graph(2, [(0, 1)])
+    moves = iter([(0, 2), (1, 3, 4)])
+    got = outcome(verify_trace, g, Trace(start=coloring_of([0, 1])), moves=moves)
+    want = outcome(reference_verify_trace, g, Trace(start=coloring_of([0, 1])),
+                   moves=iter([(0, 2), (1, 3, 4)]))
+    assert got == want and got[0] is ValueError
+    moves = iter([(0, 1), (1, 3, 4)])
+    assert verify_trace(g, Trace(start=coloring_of([0, 1])), moves=moves) == (
+        False, (0, REASON_MONOCHROMATIC))
+
+
+@pytest.mark.parametrize("value", [None, float("nan"), 1.0, "1"])
+def test_non_integer_from_an_iterator_is_held(limits, value):
+    # a value operator.index rejects raises its TypeError only after the
+    # moves read before it pass; an earlier invalid step is reported first
+    g = build_graph(3, [(0, 1)])
+    start = Trace(start=coloring_of([0, 1, 0]))
+    for bad in [(value, 2), (2, value)]:
+        got = outcome(verify_trace, g, start, moves=iter([(2, 1), (0, 2), bad, (0, 0)]))
+        assert got[0] is TypeError
+        assert verify_trace(g, start, moves=iter([(2, 1), (0, 1), bad])) == (
+            False, (1, REASON_MONOCHROMATIC))
+
+
+def test_move_beyond_int64_from_an_iterator():
+    g = build_graph(2, [(0, 1)])
+    start = coloring_of([0, 1])
+    huge = 2 ** 70
+
+    def run(fn, moves):
+        return outcome(fn, g, Trace(start=start), moves=iter(moves))
+    for moves, expected in [([(0, 2), (huge, 1)], (ValueError, f"step 1: vertex {huge} out of range")),
+                            ([(0, 2), (1, -huge)], (ValueError, "step 1: negative color")),
+                            ([(0, 1), (huge, 1)], (False, (0, REASON_MONOCHROMATIC)))]:
+        assert run(verify_trace, moves) == run(reference_verify_trace, moves) == expected
+    # the loop died on this one with an OverflowError when it stored the color
+    assert run(verify_trace, [(0, 2), (1, huge)]) == (
+        ValueError, f"step 1: color {huge} outside the int64 range")

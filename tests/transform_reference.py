@@ -2,13 +2,17 @@
 
 This is the target sweep the library used before each target class moved
 as one batch: phase 1 (every finalized vertex to its round color, then the
-residual moves) is replayed move by move onto sigma, then every vertex of
-every target class is checked against its neighborhood and moved on its
-own, ascending color then vertex. It is kept as the oracle the library is
+residual moves, with greedy run on the stand-in palette k, k+1, ... for
+sigma's k classes and mapped back to the work palette) is replayed move by
+move onto sigma, then every vertex of every target class is checked
+against its neighborhood and moved on its own, ascending color then
+vertex. It is kept as the oracle the library is
 checked against; it is not imported by the package.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -31,10 +35,15 @@ def reference_transform_with_report(g, sigma, tau, work_palette, L=None):
     pal = _check_work_palette(work_palette, sigma, tau)
 
     inst = instance_from_coloring(g, sigma)
-    report = run_greedy_recolor(inst, palette=pal, L=L)
+    k = inst.partition.q  # greedy colors with stand-in k + i for pal[i]
+    report = run_greedy_recolor(inst, palette=list(range(k, k + len(pal))), L=L)
     end = apply_trace(g, report.trace).colors
     residual = report.trace.moves.tolist()[len(report.trace.moves) - report.residual_size:]
-    moves = [Move(v, int(end[v])) for v in report.finalized] + [Move(v, c) for v, c in residual]
+    moves = ([Move(v, pal[int(end[v]) - k]) for v in report.finalized]
+             + [Move(v, pal[c - k]) for v, c in residual])
+    report = dataclasses.replace(
+        report, trace=Trace(start=sigma.copy(), moves=list(moves)),
+        residual_fresh_used=sorted(pal[c - k] for c in report.residual_fresh_used))
     colors = sigma.colors.copy()
     for v, c in moves:
         colors[v] = c
