@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _gather
 
 REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
@@ -156,13 +156,9 @@ def _pass_entries(g: Graph, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]
     """(p, row, u): the first p vertices of ``v`` hold at most
     NEIGHBOR_BUDGET neighbor entries (p >= 1), and u[i] is a neighbor of
     v[row[i]], over all of them in row order."""
-    start = g.indptr[v]
-    deg = g.indptr[v + 1] - start
-    ends = np.cumsum(deg)
+    ends = np.cumsum(g.indptr[v + 1] - g.indptr[v])
     p = max(1, int(np.searchsorted(ends, NEIGHBOR_BUDGET, side="right")))
-    start, deg, ends = start[:p], deg[:p], ends[:p]
-    row = np.repeat(np.arange(p, dtype=np.int32), deg)  # p <= CHUNK < 2**31
-    u = g.nbrs[np.arange(int(ends[-1])) + np.repeat(start - ends + deg, deg)]
+    row, u = _gather(g, v[:p])
     return p, row, u
 
 
@@ -294,11 +290,22 @@ def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:
 
 def reverse_moves(start: Coloring, moves: np.ndarray) -> tuple[Coloring, np.ndarray]:
     """Reverse a move array: returns (end coloring, moves undoing the
-    sequence from that end back to ``start``)."""
-    colors = start.colors.copy()
+    sequence from that end back to ``start``).
+
+    A move's prior color is the new color of the same vertex's previous
+    move, or the vertex's start color when it has none; a stable sort by
+    vertex puts each move right after that previous one.
+    """
+    order = np.argsort(moves[:, 0], kind="stable")
+    seen = moves[order, 0]
+    again = seen[1:] == seen[:-1]  # sorted position i + 1 repeats i's vertex
+    held = start.colors[seen]
+    held[1:][again] = moves[order[:-1][again], 1]
     prior = np.empty(moves.shape[0], dtype=np.int64)
-    for i, (v, c) in enumerate(iter_moves(moves)):
-        prior[i] = colors[v]
-        colors[v] = c
+    prior[order] = held
+    last = np.ones(moves.shape[0], dtype=bool)  # each vertex's last move
+    last[:-1] = ~again
+    colors = start.colors.copy()
+    colors[seen[last]] = moves[order[last], 1]
     hint = max(start.palette_hint, int(moves[:, 1].max(initial=-1)) + 1)
     return Coloring(colors, hint), np.column_stack((moves[::-1, 0], prior[::-1]))

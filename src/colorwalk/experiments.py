@@ -44,6 +44,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
     @property
     def edge_count(self) -> int:
@@ -87,8 +89,10 @@ class ExperimentReport:
 
 def _run_trials(cfg: ExperimentConfig, worker, payload) -> list:
     indices = list(range(cfg.trials))
-    if cfg.jobs and cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool starts every worker at once, so never more than there are trials
+    workers = min(cfg.jobs, cfg.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, [(payload, i) for i in indices]))
     return [worker((payload, i)) for i in indices]
 

@@ -501,24 +501,95 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
     return delta, order
 
 
+def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, u): u runs over the neighbor lists of ``vs`` in order, and
+    u[i] is a neighbor of vs[row[i]]."""
+    start = g.indptr[vs]
+    deg = g.indptr[vs + 1] - start
+    ends = np.cumsum(deg)
+    row = np.repeat(np.arange(vs.shape[0]), deg)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    u = g.nbrs[np.arange(total) + np.repeat(start - ends + deg, deg)]
+    return row, u
+
+
+# ranked vertices the scan settles per window: a window gathers only the
+# rows still undecided when it starts, where one pass over every rank would
+# gather every row of the round
+MIS_WINDOW = 4096
+
+
 def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Walk ``order`` and take each vertex that is still free; a taken
-    vertex and its neighbors stop being free (``free`` is updated in place).
+    vertex and its neighbors stop being free. ``free`` is not modified.
 
     Returns the taken vertices in scan order and the free count before the
     scan and after each take.
+
+    The walk runs as rank rounds (Blelloch, Fineman and Shun, SPAA 2012).
+    Each free vertex is ranked by its first position in ``order``, and the
+    ranked vertices are settled MIS_WINDOW ranks at a time. Inside a
+    window, a vertex joins once no undecided window neighbor has a lower
+    rank; the joiners and their neighbors are decided, and passes repeat
+    until the whole window is. Lower ranks outside the window were decided
+    by earlier windows, so the joiners are exactly the walk's takes, in
+    rank order. A free vertex stops being free at the first take in its
+    closed neighborhood, which gives the free counts.
     """
-    indptr, nbrs = g.indptr, g.nbrs
-    taken: list[int] = []
-    counts = [int(np.count_nonzero(free))]
-    for v in order[free[order]].tolist():
-        if free[v]:
-            row = nbrs[indptr[v]:indptr[v + 1]]
-            counts.append(counts[-1] - 1 - int(np.count_nonzero(free[row])))
-            free[v] = False
-            free[row] = False
-            taken.append(v)
-    return np.array(taken, dtype=np.int64), counts
+    n = g.n
+    cand = order[free[order]]
+    pos = np.arange(cand.shape[0])
+    first = np.full(n, cand.shape[0])  # first position of each vertex in cand
+    np.minimum.at(first, cand, pos)
+    ranked = cand[first[cand] == pos]
+    r = ranked.shape[0]
+    # rank of each undecided ranked vertex; r marks a free vertex missing
+    # from ``order``, and r + 1 a vertex that is not free or is decided
+    rank = np.where(free, r, r + 1)
+    rank[ranked] = np.arange(r)
+    leave = np.full(n, n)  # take index at which a free vertex stops being free
+    taken: list[np.ndarray] = []
+    t = 0
+    for lo in range(0, r, MIS_WINDOW):
+        window = ranked[lo:lo + MIS_WINDOW]
+        live = np.flatnonzero(rank[window] < r)
+        if not live.shape[0]:
+            continue
+        row, u = _gather(g, window[live])
+        src = live[row]  # window positions, rank - lo
+        ru = rank[u]
+        # each undecided window edge once, from its lower-ranked end
+        inner = ru < src + lo
+        a, b = ru[inner] - lo, src[inner]
+        undecided = np.zeros(window.shape[0], dtype=bool)
+        undecided[live] = True
+        joined = np.zeros(window.shape[0], dtype=bool)
+        while a.shape[0]:
+            blocked = np.zeros(window.shape[0], dtype=bool)
+            blocked[b] = True
+            join = undecided & ~blocked
+            joined |= join
+            undecided &= ~join
+            undecided[b[join[a]]] = False
+            keep = undecided[a] & undecided[b]
+            a, b = a[keep], b[keep]
+        joined |= undecided
+        takes = window[joined]
+        index = np.cumsum(joined) + (t - 1)  # take index of each joiner
+        hit = joined[src] & (ru <= r)
+        lost = u[hit]  # the joiners' still-free neighbors, one entry per joiner
+        # explicit minimum: numpy does not promise which repeated index wins
+        np.minimum.at(leave, lost, index[src[hit]])
+        leave[takes] = index[joined]
+        rank[lost] = r + 1
+        rank[takes] = r + 1
+        taken.append(takes)
+        t += takes.shape[0]
+    gone = leave[free]
+    dropped = np.zeros(t + 1, dtype=np.int64)  # frees lost up to each take
+    np.cumsum(np.bincount(gone[gone < t], minlength=t), out=dropped[1:])
+    taken_arr = np.concatenate(taken) if taken else order[:0]
+    return taken_arr.astype(np.int64, copy=False), (gone.shape[0] - dropped).tolist()
 
 
 def greedy_mis(g: Graph, order) -> np.ndarray:

@@ -219,7 +219,7 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
         # line A: the scan takes the whole remaining class first (it is
         # independent), then the candidates in selector order. Its free set is
         # the round's pool: a neighbor of a round-color vertex cannot join
-        taken, pool = _scan_mis(g, np.concatenate((part.classes[k_ptr], order)), in_u.copy())
+        taken, pool = _scan_mis(g, np.concatenate((part.classes[k_ptr], order)), in_u)
         if strict:
             for v in taken.tolist():
                 if bool(np.any(colors[g.neighbors(v)] == target)):

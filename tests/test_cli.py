@@ -362,6 +362,15 @@ class TestUsageAndErrors:
         assert "fraction_meeting_bound=1.0" in capsys.readouterr().out
         assert out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_experiment_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "mis.csv"
+        code = main(["experiment", "mis", "--n", "500", "--d", "100", "--trials", "2",
+                     "--seed", "4", "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from colorwalk import InfeasibleError, build_graph, gen_gnm
+from colorwalk import InfeasibleError, build_graph, experiments, gen_gnm
 from colorwalk.experiments import (ExperimentConfig, mis_bound,
                                    per_round_pool_bound,
                                    pointwise_median_dominance,
@@ -183,3 +183,31 @@ class TestReportFormats:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(name="mis", n=10, d=5.0, trials=0, seed=1)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_validated(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExperimentConfig(name="mis", n=10, d=5.0, trials=2, seed=1, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs,trials,workers", [(64, 2, 2), (3, 5, 3), (2, 1, None)])
+    def test_pool_never_outnumbers_trials(self, monkeypatch, jobs, trials, workers):
+        started = []
+
+        class SerialPool:  # records the pool size, runs the trials in-process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(name="mis", n=500, d=100.0, trials=trials, seed=8, jobs=jobs)
+        serial = ExperimentConfig(name="mis", n=500, d=100.0, trials=trials, seed=8)
+        assert run_mis_experiment(cfg).rows == run_mis_experiment(serial).rows
+        assert started == ([] if workers is None else [workers])

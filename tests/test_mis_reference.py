@@ -1,11 +1,14 @@
-"""Differential test: ``greedy_mis`` against the per-vertex loop it
+"""Differential tests: ``greedy_mis`` and the windowed rank-round scan
+behind it (``graphs._scan_mis``) against the per-vertex loops they
 replaced (``mis_reference``)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import colorwalk.graphs as graphs
 from colorwalk import build_graph, greedy_mis
-from mis_reference import reference_greedy_mis
+from mis_reference import reference_greedy_mis, reference_scan_mis
 
 
 @settings(max_examples=200, deadline=None)
@@ -21,3 +24,54 @@ def test_matches_reference_hypothesis(n, seed, density):
     want = reference_greedy_mis(g, order)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def scan_order(rng, n, kind):
+    """A scan order with repeated entries: a class prefix followed by a full
+    permutation (as the greedy rounds build it), draws with replacement
+    that may miss free vertices, or a plain permutation."""
+    if kind == "prefix":
+        prefix = rng.permutation(n)[:rng.integers(0, n + 1)]
+        return np.concatenate((np.sort(prefix), rng.permutation(n)))
+    if kind == "draws" and n:
+        return rng.integers(0, n, size=rng.integers(0, 2 * n + 1))
+    return rng.permutation(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]),
+       free_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       kind=st.sampled_from(["prefix", "draws", "permutation"]))
+def test_scan_matches_reference_hypothesis(n, seed, density, free_share, kind):
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.shape[0]) < density
+    g = build_graph(n, np.stack([u[keep], v[keep]], axis=1))
+    free = rng.random(n) < free_share
+    order = scan_order(rng, n, kind)
+    want_taken, want_counts = reference_scan_mis(g, order, free.copy())
+    for window in (1, 2, 3, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if window is not None:
+                mp.setattr(graphs, "MIS_WINDOW", window)
+            given_free = free.copy()
+            taken, counts = graphs._scan_mis(g, order, given_free)
+        assert taken.dtype == want_taken.dtype
+        assert np.array_equal(taken, want_taken), window
+        assert counts == want_counts, window
+        assert np.array_equal(given_free, free)  # the scan leaves ``free`` alone
+
+
+def test_scan_on_a_path_with_a_class_prefix():
+    # 0-1-2-3-4: the prefix takes 1 and 3, then the permutation adds nothing
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    free = np.ones(5, dtype=bool)
+    order = np.array([3, 1, 0, 1, 2, 3, 4])
+    for window in (1, 2, 3, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if window is not None:
+                mp.setattr(graphs, "MIS_WINDOW", window)
+            taken, counts = graphs._scan_mis(g, order, free)
+        assert taken.tolist() == [3, 1]
+        assert counts == [5, 2, 0]

@@ -1,9 +1,12 @@
-"""Per-move reference for ``colorwalk.coloring.verify_trace``.
+"""Per-move references for ``colorwalk.coloring``.
 
-This is the streaming loop the library used before the chunked replay
-kernel: one move at a time, checking the moved vertex's old color and its
-neighborhood. It is kept as the oracle the kernel is checked against; it
-is not imported by the package.
+``reference_verify_trace`` is the streaming loop the library used before
+the chunked replay kernel: one move at a time, checking the moved
+vertex's old color and its neighborhood. ``reference_apply_colors`` and
+``reference_reverse_moves`` are the loops ``apply_trace`` and
+``reverse_moves`` ran before they were vectorized. They are kept as the
+oracles the library is checked against; they are not imported by the
+package.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from colorwalk.coloring import (REASON_BAD_START, REASON_MONOCHROMATIC, REASON_NOOP,
-                                Move, Trace, TraceFailure, iter_moves)
+                                Coloring, Move, Trace, TraceFailure, iter_moves)
 from colorwalk.graphs import Graph
 
 
@@ -54,3 +57,14 @@ def reference_apply_colors(trace: Trace) -> np.ndarray:
     for v, c in iter_moves(trace.moves):
         colors[v] = c
     return colors
+
+
+def reference_reverse_moves(start: Coloring, moves: np.ndarray) -> tuple[Coloring, np.ndarray]:
+    """Same contract and result as ``reverse_moves``, one move at a time."""
+    colors = start.colors.copy()
+    prior = np.empty(moves.shape[0], dtype=np.int64)
+    for i, (v, c) in enumerate(iter_moves(moves)):
+        prior[i] = colors[v]
+        colors[v] = c
+    hint = max(start.palette_hint, int(moves[:, 1].max(initial=-1)) + 1)
+    return Coloring(colors, hint), np.column_stack((moves[::-1, 0], prior[::-1]))
