@@ -162,6 +162,35 @@ def _pass_entries(g: Graph, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]
     return p, row, u
 
 
+def _replay(colors: np.ndarray, v: np.ndarray,
+            c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, prior, last) of the moves v[j] -> c[j] made from ``colors``,
+    which is not modified. ``order`` sorts the moves stably by vertex, so
+    each move comes right after the same vertex's previous one; prior[j] is
+    the color v[j] holds just before move j: the new color of that previous
+    move, or its color in ``colors``. ``last`` marks, in sorted position,
+    each vertex's last move: vertex v[order[last]] ends on c[order[last]]."""
+    order = np.argsort(v, kind="stable")
+    seen = v[order]
+    again = seen[1:] == seen[:-1]  # sorted position i + 1 repeats i's vertex
+    prior = colors[v]
+    prior[order[1:][again]] = c[order[:-1][again]]
+    last = np.ones(v.shape[0], dtype=bool)
+    last[:-1] = ~again
+    return order, prior, last
+
+
+def _end_coloring(start: Coloring, moves: np.ndarray, order: np.ndarray,
+                  last: np.ndarray) -> Coloring:
+    """The coloring ``moves`` leave from ``start``, with ``order`` and
+    ``last`` from ``_replay``."""
+    colors = start.colors.copy()
+    final = moves[order[last]]
+    colors[final[:, 0]] = final[:, 1]
+    hint = max(start.palette_hint, int(moves[:, 1].max(initial=-1)) + 1)
+    return Coloring(colors, hint)
+
+
 def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray,
                 c: np.ndarray) -> tuple[int, TraceFailure | None]:
     """(p, failure): one pass over the first p moves v[j] -> c[j], and its
@@ -178,15 +207,10 @@ def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray,
     """
     p, row, u = _pass_entries(g, v)
     v, c = v[:p], c[:p]
-    order = np.argsort(v, kind="stable")
+    order, held_v, last = _replay(colors, v, c)
     seen = v[order]
     keys = seen * p + order  # ascending: by vertex, then by row
-    repeat = np.flatnonzero(seen[1:] == seen[:-1])  # sorted position before a repeat
-    last = np.ones(p, dtype=bool)  # each vertex's last row in the pass
-    last[repeat] = False
     moved = seen[last]
-    held_v = colors[v]  # the moved vertex's color just before its row
-    held_v[order[repeat + 1]] = c[order[repeat]]
     # colors are >= 0, so a negative color marks a mover; a pass that
     # passes writes every mover's new color below
     colors[moved] = ~colors[moved]
@@ -279,33 +303,18 @@ def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:
         ok, failure = verify_trace(g, trace)
         if not ok:
             raise ValueError(f"invalid trace at step {failure.step}: {failure.reason}")
-    colors = trace.start.colors.copy()
-    # each moved vertex ends on its last move: the first one in reverse order
-    backwards = trace.moves[::-1]
-    moved, last = np.unique(backwards[:, 0], return_index=True)
-    colors[moved] = backwards[last, 1]
-    hint = max(trace.start.palette_hint, int(trace.moves[:, 1].max(initial=-1)) + 1)
-    return Coloring(colors, hint)
+    moves = trace.moves
+    order, _, last = _replay(trace.start.colors, moves[:, 0], moves[:, 1])
+    return _end_coloring(trace.start, moves, order, last)
 
 
 def reverse_moves(start: Coloring, moves: np.ndarray) -> tuple[Coloring, np.ndarray]:
     """Reverse a move array: returns (end coloring, moves undoing the
     sequence from that end back to ``start``).
 
-    A move's prior color is the new color of the same vertex's previous
-    move, or the vertex's start color when it has none; a stable sort by
-    vertex puts each move right after that previous one.
+    Undoing move j sets its vertex back to the color it held just before
+    move j (``_replay``).
     """
-    order = np.argsort(moves[:, 0], kind="stable")
-    seen = moves[order, 0]
-    again = seen[1:] == seen[:-1]  # sorted position i + 1 repeats i's vertex
-    held = start.colors[seen]
-    held[1:][again] = moves[order[:-1][again], 1]
-    prior = np.empty(moves.shape[0], dtype=np.int64)
-    prior[order] = held
-    last = np.ones(moves.shape[0], dtype=bool)  # each vertex's last move
-    last[:-1] = ~again
-    colors = start.colors.copy()
-    colors[seen[last]] = moves[order[last], 1]
-    hint = max(start.palette_hint, int(moves[:, 1].max(initial=-1)) + 1)
-    return Coloring(colors, hint), np.column_stack((moves[::-1, 0], prior[::-1]))
+    order, prior, last = _replay(start.colors, moves[:, 0], moves[:, 1])
+    end = _end_coloring(start, moves, order, last)
+    return end, np.column_stack((moves[::-1, 0], prior[::-1]))

@@ -9,6 +9,7 @@ scales the recoloring runs need (n up to a few 10^5, m in the millions).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -503,11 +504,11 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
 
 def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, u): u runs over the neighbor lists of ``vs`` in order, and
-    u[i] is a neighbor of vs[row[i]]."""
+    u[i] is a neighbor of vs[row[i]]. Callers pass fewer than 2**31 rows."""
     start = g.indptr[vs]
     deg = g.indptr[vs + 1] - start
     ends = np.cumsum(deg)
-    row = np.repeat(np.arange(vs.shape[0]), deg)
+    row = np.repeat(np.arange(vs.shape[0], dtype=np.int32), deg)
     total = int(ends[-1]) if ends.shape[0] else 0
     u = g.nbrs[np.arange(total) + np.repeat(start - ends + deg, deg)]
     return row, u
@@ -517,6 +518,67 @@ def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # rows still undecided when it starts, where one pass over every rank would
 # gather every row of the round
 MIS_WINDOW = 4096
+# the first window's size; each next window doubles up to MIS_WINDOW, so an
+# order whose first window stalls has read at most this many rows in vain
+MIS_FIRST_WINDOW = 256
+# a pass that decides less than 1/MIS_STALL of its window's undecided
+# vertices stalls the window, which then settles by the sequential rule
+MIS_STALL = 4
+
+
+def _window_bounds(r: int) -> Iterator[tuple[int, int]]:
+    """The scan's windows over ranks [0, r), as (lo, hi)."""
+    lo, size = 0, min(MIS_FIRST_WINDOW, MIS_WINDOW)
+    while lo < r:
+        yield lo, min(lo + size, r)
+        lo, size = lo + size, min(2 * size, MIS_WINDOW)
+
+
+def _rank_rounds(size: int, live: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rank rounds on a window of ``size`` positions: ``live`` holds the
+    undecided ones and (a[i], b[i]), a[i] < b[i], the edges between them.
+    Each pass, an undecided position with no undecided lower neighbor
+    joins and its neighbors are decided. Returns (joined, rest, passes):
+    the joiner mask; the positions still undecided after a pass that
+    decided less than 1/MIS_STALL of them, which ends the rounds (empty if
+    none did); and the number of passes run."""
+    undecided = np.zeros(size, dtype=bool)
+    undecided[live] = True
+    joined = np.zeros(size, dtype=bool)
+    left, passes = live.shape[0], 0
+    while a.shape[0]:
+        blocked = np.zeros(size, dtype=bool)
+        blocked[b] = True
+        join = undecided & ~blocked
+        joined |= join
+        undecided &= ~join
+        undecided[b[join[a]]] = False
+        keep = undecided[a] & undecided[b]
+        a, b = a[keep], b[keep]
+        passes += 1
+        before, left = left, int(np.count_nonzero(undecided))
+        if a.shape[0] and left * MIS_STALL > before * (MIS_STALL - 1):
+            return joined, np.flatnonzero(undecided), passes
+    return joined | undecided, live[:0], passes
+
+
+def _walk(g: Graph, vs: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """The sequential rule over ``vs``, in order: each vertex not in
+    ``dead`` joins, and its neighbors join ``dead``. Returns the joiners.
+    Only their rows are read."""
+    ptr, nbrs, is_dead = memoryview(g.indptr), memoryview(g.nbrs), memoryview(dead)
+    joins: list[int] = []
+    for v in memoryview(vs):  # makes each int as it goes, unlike tolist
+        if not is_dead[v]:
+            joins.append(v)
+            lo, hi = ptr[v], ptr[v + 1]
+            if hi - lo > 32:  # past about 32 entries one numpy call is faster
+                dead[g.nbrs[lo:hi]] = True
+            else:
+                for u in nbrs[lo:hi]:
+                    is_dead[u] = True
+    return np.array(joins, dtype=np.int64)
 
 
 def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -528,13 +590,23 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
 
     The walk runs as rank rounds (Blelloch, Fineman and Shun, SPAA 2012).
     Each free vertex is ranked by its first position in ``order``, and the
-    ranked vertices are settled MIS_WINDOW ranks at a time. Inside a
-    window, a vertex joins once no undecided window neighbor has a lower
-    rank; the joiners and their neighbors are decided, and passes repeat
-    until the whole window is. Lower ranks outside the window were decided
+    ranked vertices are settled a window of ranks at a time: the first
+    holds MIS_FIRST_WINDOW ranks, and each next one twice as many as the
+    last, up to MIS_WINDOW. Inside a window, a vertex joins once no
+    undecided window neighbor has a lower rank; the joiners and their
+    neighbors are decided, and passes repeat until the whole window is. Lower ranks outside the window were decided
     by earlier windows, so the joiners are exactly the walk's takes, in
     rank order. A free vertex stops being free at the first take in its
     closed neighborhood, which gives the free counts.
+
+    Few passes suffice when the order is unrelated to the edges. An order
+    that follows them chains the ranks: on a path in id order each pass
+    joins one vertex, and on a dense band most gathered rows belong to
+    vertices an earlier take in the same window knocks out. So once a pass
+    decides less than 1/MIS_STALL of the window's undecided vertices, the
+    rest of the window is settled by the sequential rule (``_walk``), which
+    reads only the joiners' rows. If that happens in a window's first pass,
+    every later window is settled by it from the start.
     """
     n = g.n
     cand = order[free[order]]
@@ -548,32 +620,32 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
     rank = np.where(free, r, r + 1)
     rank[ranked] = np.arange(r)
     leave = np.full(n, n)  # take index at which a free vertex stops being free
+    dead = np.zeros(n, dtype=bool)  # neighbors of the sequential rule's joiners
+    chained = False  # a window's first pass stalled: walk every later window
     taken: list[np.ndarray] = []
     t = 0
-    for lo in range(0, r, MIS_WINDOW):
-        window = ranked[lo:lo + MIS_WINDOW]
+    for lo, hi in _window_bounds(r):
+        window = ranked[lo:hi]
         live = np.flatnonzero(rank[window] < r)
         if not live.shape[0]:
             continue
-        row, u = _gather(g, window[live])
-        src = live[row]  # window positions, rank - lo
-        ru = rank[u]
-        # each undecided window edge once, from its lower-ranked end
-        inner = ru < src + lo
-        a, b = ru[inner] - lo, src[inner]
-        undecided = np.zeros(window.shape[0], dtype=bool)
-        undecided[live] = True
-        joined = np.zeros(window.shape[0], dtype=bool)
-        while a.shape[0]:
-            blocked = np.zeros(window.shape[0], dtype=bool)
-            blocked[b] = True
-            join = undecided & ~blocked
-            joined |= join
-            undecided &= ~join
-            undecided[b[join[a]]] = False
-            keep = undecided[a] & undecided[b]
-            a, b = a[keep], b[keep]
-        joined |= undecided
+        if chained:
+            joined = np.zeros(window.shape[0], dtype=bool)
+            joined[rank[_walk(g, window[live], dead)] - lo] = True
+            row, u = _gather(g, window[joined])
+            src = np.flatnonzero(joined)[row]
+            ru = rank[u]
+        else:
+            row, u = _gather(g, window[live])
+            src = live[row]  # window positions, rank - lo
+            ru = rank[u]
+            # each undecided window edge once, from its lower-ranked end
+            inner = ru < src + lo
+            joined, rest, passes = _rank_rounds(window.shape[0], live,
+                                                ru[inner] - lo, src[inner])
+            if rest.shape[0]:
+                joined[rank[_walk(g, window[rest], dead)] - lo] = True
+                chained = passes == 1
         takes = window[joined]
         index = np.cumsum(joined) + (t - 1)  # take index of each joiner
         hit = joined[src] & (ru <= r)

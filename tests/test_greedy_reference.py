@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import colorwalk.graphs as graphs
 from colorwalk import (GenParams, PlantedInstance, build_graph, gen_planted_m,
                        partition_from_class_of, random_partition,
                        run_greedy_recolor)
@@ -97,3 +98,30 @@ def test_matches_reference_hypothesis(inst, selector, strict, L, palette,
     n, q = inst.graph.n, inst.partition.q
     check(inst, selector, strict, L, palette_for(palette, n, q, short_len),
           selector_seed=selector_seed)
+
+
+def id_structured_instance(n=3000, q=10, seed=31):
+    """A planted path plus distance-2 chords, each vertex's class differing
+    from the two before it: ids follow the edges, so id-ordered scans chain
+    their ranks."""
+    rng = np.random.default_rng(seed)
+    class_of = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        taken = set(class_of[max(0, i - 2):i].tolist())
+        class_of[i] = rng.choice([k for k in range(q) if k not in taken])
+    ids = np.arange(n)
+    g = build_graph(n, np.concatenate((np.column_stack((ids[:-1], ids[1:])),
+                                       np.column_stack((ids[:-2], ids[2:])))))
+    part = partition_from_class_of(class_of, q)
+    return PlantedInstance(graph=g, partition=part,
+                           params=GenParams(n=n, q=q, model="derived", m=g.m))
+
+
+@pytest.mark.parametrize("stall", [1, None])
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_matches_reference_on_id_structured_graph(monkeypatch, selector, stall):
+    # MIS_STALL 1 stalls the first pass, and the sequential rule settles
+    # the rest of each scan
+    if stall is not None:
+        monkeypatch.setattr(graphs, "MIS_STALL", stall)
+    check(id_structured_instance(), selector, False, 0, None)

@@ -1,10 +1,11 @@
-"""Differential test: the sort-based ``reverse_moves`` against the
-per-move loop it replaced (``verify_reference.reference_reverse_moves``)."""
+"""Differential test: the sort-based ``reverse_moves`` and the end coloring
+of ``apply_trace``, which share one replay, against the per-move loop
+``reverse_moves`` replaced (``verify_reference.reference_reverse_moves``)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from colorwalk import coloring_of
+from colorwalk import Trace, apply_trace, build_graph, coloring_of
 from colorwalk.coloring import move_array, reverse_moves
 from verify_reference import reference_reverse_moves
 
@@ -31,6 +32,9 @@ def test_matches_reference_hypothesis(case):
     assert end.palette_hint == want_end.palette_hint
     assert rev.dtype == want_rev.dtype
     assert np.array_equal(rev, want_rev)
+    applied = apply_trace(build_graph(start.n, []), Trace(start=start, moves=moves))
+    assert np.array_equal(applied.colors, want_end.colors)
+    assert applied.palette_hint == want_end.palette_hint
 
 
 def test_repeated_vertex_restores_each_prior_color():
