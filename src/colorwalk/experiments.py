@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.subset_samples < 0:
+            raise ValueError("subset_samples must be >= 0")
 
     @property
     def edge_count(self) -> int:

@@ -24,6 +24,21 @@ def _comb2(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, sorted: ``np.unique`` by one sort.
+    numpy 2.4's ``np.unique`` hashes int64 input, which took 0.2 s where
+    this takes 4 ms on 0.46M distinct vertex ids (2-vCPU x86 host)."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.shape[0] else s
+
+
+def _check_n(n: int) -> None:
+    # _comb2 of a negative n is positive, so without this the generators
+    # fail deep inside numpy
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with canonical edge arrays and CSR adjacency."""
@@ -259,6 +274,7 @@ def _graph_from_tri_codes(n: int, tri_sorted: np.ndarray) -> Graph:
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniformly random simple graph with exactly m edges."""
+    _check_n(n)
     total = _comb2(n)
     if not 0 <= m <= total:
         raise InfeasibleError(f"m={m} outside [0, {total}] for n={n}")
@@ -272,6 +288,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     Implemented as Bin(C(n,2), p) edges followed by a uniform subset draw,
     which yields exactly the independent-inclusion distribution.
     """
+    _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise InfeasibleError(f"p={p} outside [0, 1]")
     total = _comb2(n)
@@ -317,6 +334,7 @@ def partition_from_class_of(class_of, q: int | None = None) -> Partition:
 
 def balanced_partition(n: int, q: int, seed: int) -> Partition:
     """Random partition with class sizes differing by at most one."""
+    _check_n(n)
     if q < 1:
         raise InfeasibleError("q must be >= 1")
     rng = make_rng(seed)
@@ -340,6 +358,7 @@ def random_partition(n: int, q: int, m: int, seed: int) -> Partition:
     PARTITION_RESAMPLE_CAP failed resamples (violations are vanishingly rare
     at sane parameters).
     """
+    _check_n(n)
     if q < 1:
         raise InfeasibleError("q must be >= 1")
     budget = _comb2(n) - m
@@ -449,7 +468,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     Returns (subgraph, vmap) where vmap[i] is the original label of local
     vertex i; local labels follow ascending original labels.
     """
-    vmap = np.unique(np.asarray(vertices, dtype=np.int64))
+    vmap = _distinct(np.asarray(vertices, dtype=np.int64).reshape(-1))
     if vmap.size and (vmap[0] < 0 or vmap[-1] >= g.n):
         raise ValueError("vertex out of range")
     in_s = np.zeros(g.n, dtype=bool)
@@ -479,32 +498,43 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
     Peels a minimum-degree vertex repeatedly (lowest index on ties) and
     returns the reversed peel sequence, so each vertex has at most
     ``degeneracy`` neighbors among its predecessors in the order.
+
+    The vertices of degree 0 are peeled first, in index order: no other
+    vertex's degree depends on them. The rest go through one lazy-deletion
+    heap of int keys ``deg*n + v``, which pop in the same order as
+    ``(deg, v)`` pairs; a peeled vertex's degree is set to -1.
     """
     n = g.n
-    deg = g.degrees.astype(np.int64).copy()
-    removed = np.zeros(n, dtype=bool)
-    heap = [(int(deg[v]), v) for v in range(n)]
+    deg = g.degrees.astype(np.int64)
+    live = np.flatnonzero(deg)
+    peel = np.flatnonzero(deg == 0).tolist()
+    heap = (deg[live] * n + live).tolist()
     heapq.heapify(heap)
-    peel: list[int] = []
+    indptr, nbrs, deg = g.indptr.tolist(), g.nbrs.tolist(), deg.tolist()
+    pop, push = heapq.heappop, heapq.heappush
     delta = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+        d, v = divmod(pop(heap), n)
+        if d != deg[v]:
             continue
-        removed[v] = True
-        delta = max(delta, d)
+        deg[v] = -1
+        if d > delta:
+            delta = d
         peel.append(v)
-        for u in g.neighbors(v).tolist():
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (int(deg[u]), u))
+        for u in nbrs[indptr[v]:indptr[v + 1]]:
+            du = deg[u]
+            if du > 0:
+                deg[u] = du - 1
+                push(heap, (du - 1) * n + u)
     order = np.array(peel[::-1], dtype=np.int64)
     return delta, order
 
 
 def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, u): u runs over the neighbor lists of ``vs`` in order, and
-    u[i] is a neighbor of vs[row[i]]. Callers pass fewer than 2**31 rows."""
+    u[i] is a neighbor of vs[row[i]]. Reads only ``g.indptr`` and
+    ``g.nbrs``, so any CSR pair with those names will do. Callers pass
+    fewer than 2**31 rows."""
     start = g.indptr[vs]
     deg = g.indptr[vs + 1] - start
     ends = np.cumsum(deg)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import Coloring, Trace
 from .errors import InfeasibleError, InternalInvariantError, PaletteError
-from .graphs import Partition, PlantedInstance, _scan_mis, induced_subgraph
+from .graphs import Partition, PlantedInstance, _distinct, _scan_mis, induced_subgraph
 from .rng import make_rng
 
 SELECTORS = ("lowest", "random", "highest_degree")
@@ -247,15 +247,16 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     if residual_size:
         g_u, vmap = induced_subgraph(g, residual_vertices)
         current = Coloring(colors, max(int(colors.max()) + 1, q))
-        present = set(np.unique(colors).tolist())
         if auto_palette:
-            first_fresh = max(q, (max(present) + 1) if present else 0)
-            fresh = list(range(first_fresh, first_fresh + residual_size + 1))
+            # every color from max(q, max color + 1) on is unused
+            fresh = np.arange(current.palette_hint,
+                              current.palette_hint + residual_size + 1)
         else:
-            fresh = [c for c in pal[rounds:] if c not in present]
+            fresh = np.asarray(pal[rounds:], dtype=np.int64)
+            fresh = fresh[~np.isin(fresh, colors)]
         residual_moves, residual_degeneracy = degeneracy_recolor_greedy(
             g_u, vmap, current, fresh)
-        fresh_used = np.unique(residual_moves[:, 1]).tolist()
+        fresh_used = _distinct(residual_moves[:, 1]).tolist()
 
     phase1_moves = np.column_stack((moved, colors[moved]))
     trace = Trace(start=inst.sigma, moves=np.concatenate((phase1_moves, residual_moves)))

@@ -342,6 +342,15 @@ class TestUsageAndErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    @pytest.mark.parametrize("model", ["gnm", "gnp", "planted"])
+    def test_gen_negative_n_exits_two(self, tmp_path, capsys, model):
+        out = tmp_path / "g.txt"
+        code = main(["gen", model, "--n", "-5", "--m", "3", "--p", "0.5", "--q", "2",
+                     "--seed", "1", "--out-graph", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be nonnegative, got -5\n"
+        assert not out.exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",
                      "--seed", "1", "--out-graph", str(tmp_path / "g.txt")])
@@ -369,6 +378,15 @@ class TestUsageAndErrors:
                      "--seed", "4", "--jobs", jobs, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out.exists()
+
+
+    def test_experiment_rejects_negative_subset_samples(self, tmp_path, capsys):
+        out = tmp_path / "density.csv"
+        code = main(["experiment", "density", "--n", "50", "--d", "2", "--q", "3",
+                     "--seed", "1", "--subset-samples", "-3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: subset_samples must be >= 0\n"
         assert not out.exists()
 
 

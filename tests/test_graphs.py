@@ -77,6 +77,10 @@ class TestGnm:
         with pytest.raises(InfeasibleError):
             gen_gnm(5, -1, seed=1)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -5$"):
+            gen_gnm(-5, 3, seed=1)
+
 
 class TestGnp:
     def test_p_zero(self):
@@ -89,6 +93,10 @@ class TestGnp:
     def test_p_out_of_range(self):
         with pytest.raises(InfeasibleError):
             gen_gnp(10, 1.5, seed=1)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -5$"):
+            gen_gnp(-5, 0.5, seed=1)
 
     def test_edge_count_concentration(self):
         # binomial moments: mean N*p, sd sqrt(N*p*(1-p)) with N = C(n,2)
@@ -144,6 +152,12 @@ class TestRandomPartition:
     def test_single_class_infeasible(self):
         with pytest.raises(InfeasibleError):
             random_partition(6, 1, 1, seed=1)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -5$"):
+            random_partition(-5, 2, 3, seed=1)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -5$"):
+            balanced_partition(-5, 2, seed=1)
 
     def test_constraint_enforced(self):
         for seed in range(30):
@@ -244,6 +258,17 @@ class TestDegeneracy:
         p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         delta, order = degeneracy_order(p4)
         assert delta == 1
+        # peel 0, 1, 2 (each the lowest index of degree 1), then 3
+        assert order.tolist() == [3, 2, 1, 0]
+
+    def test_ties_go_to_the_lowest_index(self):
+        # K_{2,3} on {1, 3} x {5, 6, 7}, the edge 4-8, isolated 0 and 2: the
+        # isolated vertices peel first, then 4 and 8, then 5 among the
+        # degree-2 vertices, 1 among the new degree-2 ones, and so on
+        g = build_graph(9, [(1, 5), (1, 6), (1, 7), (3, 5), (3, 6), (3, 7), (4, 8)])
+        delta, order = degeneracy_order(g)
+        assert delta == 2
+        assert order.tolist() == [7, 3, 6, 1, 5, 8, 4, 2, 0]
 
     def test_cycle(self):
         c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
