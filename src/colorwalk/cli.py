@@ -213,7 +213,7 @@ def _cmd_recolor(args) -> int:
         io.write_records(args.out_report, _report_items(report))
     if args.out_trajectory:
         io.write_csv(args.out_trajectory, ["t", "u_t"],
-                     ([t, u] for t, u in enumerate(report.trajectory)))
+                     ([t, u] for t, u in enumerate(report.trajectory.tolist())))
     return 0
 
 

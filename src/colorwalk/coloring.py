@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, _gather
+from .graphs import Graph, _distinct, _gather
 
 REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
@@ -112,7 +112,7 @@ def hamming(a: Coloring, b: Coloring) -> int:
 
 def colors_used(c: Coloring) -> int:
     """Number of distinct color ids present."""
-    return int(np.unique(c.colors).shape[0]) if c.n else 0
+    return int(_distinct(c.colors).shape[0])
 
 
 def _bad_move(step: int, v: int, c: int, n: int) -> ValueError:

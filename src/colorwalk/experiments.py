@@ -197,7 +197,7 @@ def run_density_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.q is None:
         raise ValueError("density experiment needs q")
-    if math.log(cfg.d) ** 2 <= 0:
+    if cfg.d <= 0 or math.log(cfg.d) ** 2 <= 0:
         raise InfeasibleError("degree too small for the subset size cap")
     results = _run_trials(cfg, _density_trial, cfg)
     rows = list(results)
@@ -246,23 +246,13 @@ def _coupling_trial(args):
     }
 
 
-def _pad_to(seq: list[int], length: int, fill_last: bool) -> list[int]:
-    if len(seq) >= length:
-        return seq[:length]
-    pad = seq[-1] if (fill_last and seq) else 0
-    return seq + [pad] * (length - len(seq))
-
-
-def pointwise_median_dominance(upper: list[list[int]], lower: list[list[int]]
-                               ) -> tuple[float, int]:
+def pointwise_median_dominance(upper: list, lower: list) -> tuple[float, int]:
     """Fraction of positions where median(upper curves) >= median(lower
     curves); short curves are padded with their final value."""
     length = max(max(len(s) for s in upper), max(len(s) for s in lower))
-    up = np.array([_pad_to(s, length, True) for s in upper], dtype=np.float64)
-    lo = np.array([_pad_to(s, length, True) for s in lower], dtype=np.float64)
-    med_up = np.median(up, axis=0)
-    med_lo = np.median(lo, axis=0)
-    ok = int(np.count_nonzero(med_up >= med_lo))
+    up, lo = ([np.pad(s, (0, length - len(s)), "edge") for s in curves]
+              for curves in (upper, lower))
+    ok = int(np.count_nonzero(np.median(up, axis=0) >= np.median(lo, axis=0)))
     return ok / length, length
 
 
@@ -281,7 +271,7 @@ def run_coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for r in results:
         rows.append([r["trial"], r["p_hat"], len(r["trajectory"]),
-                     r["trajectory"][-1], len(r["round1_pool"]),
+                     int(r["trajectory"][-1]), len(r["round1_pool"]),
                      len(r["recurrence"])])
     traj_frac, traj_steps = pointwise_median_dominance(
         [r["trajectory"] for r in results], [r["recurrence"] for r in results])
@@ -337,13 +327,10 @@ def _scaling_trial(args):
     raw = math.log(d) - 6 * math.log(math.log(d))
     per_round_raw = (q - 1) / q * raw / d * n if raw > 0 else None
     recolored = [len(p) - 1 for p in report.round_pools]
-    active_met = 0
-    active = 0
-    for pool in report.round_pools:
-        bound = per_round_pool_bound(params.d_hat, params.p_hat, pool[0], n)
-        if bound is not None:
-            active += 1
-            active_met += (len(pool) - 1) >= bound
+    bounds = [per_round_pool_bound(params.d_hat, params.p_hat, pool[0], n)
+              for pool in report.round_pools]
+    active = sum(b is not None for b in bounds)
+    active_met = sum(b is not None and r >= b for r, b in zip(recolored, bounds))
     return [i, d, q, report.total_colors, report.rounds, report.residual_colors,
             report.residual_size, ratio,
             min(recolored) if recolored else 0,
@@ -357,6 +344,8 @@ def run_scaling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     d / ln d yardstick."""
     from scipy import stats  # its only user; keeps it out of CLI start-up
     sweep = cfg.d_sweep or (cfg.d,)
+    if min(sweep) <= 1:  # q = ceil(2d / ln d) needs ln d > 0
+        raise InfeasibleError(f"average degree must exceed 1, got {min(sweep):g}")
     rows = []
     ratios_by_d = []
     for d in sweep:

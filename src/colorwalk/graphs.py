@@ -214,7 +214,7 @@ def _uniform_distinct_ints(rng, upper: int, k: int) -> np.ndarray:
     picked = np.zeros(0, dtype=np.int64)
     while picked.shape[0] < k:
         draw = rng.integers(0, upper, size=int((k - picked.shape[0]) * 1.3) + 8)
-        picked = np.unique(np.concatenate([picked, draw]))
+        picked = _distinct(np.concatenate([picked, draw]))
     return picked[rng.permutation(picked.shape[0])[:k]]
 
 
@@ -611,7 +611,7 @@ def _walk(g: Graph, vs: np.ndarray, dead: np.ndarray) -> np.ndarray:
     return np.array(joins, dtype=np.int64)
 
 
-def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk ``order`` and take each vertex that is still free; a taken
     vertex and its neighbors stop being free. ``free`` is not modified.
 
@@ -691,7 +691,7 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
     dropped = np.zeros(t + 1, dtype=np.int64)  # frees lost up to each take
     np.cumsum(np.bincount(gone[gone < t], minlength=t), out=dropped[1:])
     taken_arr = np.concatenate(taken) if taken else order[:0]
-    return taken_arr.astype(np.int64, copy=False), (gone.shape[0] - dropped).tolist()
+    return taken_arr.astype(np.int64, copy=False), gone.shape[0] - dropped
 
 
 def greedy_mis(g: Graph, order) -> np.ndarray:

@@ -12,7 +12,7 @@ by the residual pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,28 +97,44 @@ def derive_params(n: int, m: int, q: int, partition: Partition) -> DerivedParams
 class GreedyReport:
     """Everything a run produced, plus accounting for the color budget.
 
-    trajectory[t] is the number of not-yet-finalized vertices after t
-    finalizations (trajectory[0] = n). round_pools holds, per round, the
-    size of the round's remaining candidate pool after each finalization
-    in that round, starting from the uncolored count at round entry; this
-    is the series the binomial-decay recurrence models.
+    finalized lists the finalized vertices in take order; trajectory[t] is
+    the uncolored count after t of them (trajectory[0] = n). round_pools
+    holds, per round, the round's candidate pool size after each
+    finalization in it, from the uncolored count at round entry: the series
+    the binomial-decay recurrence models. Series are int64 arrays, and the
+    values derived from the stored fields are properties.
     """
 
     trace: Trace
     rounds: int
-    phase1_colors: int
-    residual_colors: int
-    total_colors: int
     residual_size: int
     residual_degeneracy: int
-    trajectory: list[int]
-    round_pools: list[list[int]]
+    finalized: np.ndarray
+    round_pools: list[np.ndarray]
     round_classes: list[int]
-    finalized: list[int]
     params: DerivedParams
     l_used: int
-    residual_fresh_used: list[int] = field(default_factory=list)
-    q0_comparison: float | None = None
+    residual_fresh_used: list[int]
+
+    @property
+    def phase1_colors(self) -> int:
+        return self.rounds
+
+    @property
+    def residual_colors(self) -> int:
+        return len(self.residual_fresh_used)
+
+    @property
+    def total_colors(self) -> int:
+        return self.phase1_colors + self.residual_colors
+
+    @property
+    def q0_comparison(self) -> float | None:
+        return self.total_colors / self.params.q0 if self.params.q0 else None
+
+    @property
+    def trajectory(self) -> np.ndarray:
+        return np.arange(self.params.n, self.residual_size - 1, -1, dtype=np.int64)
 
     def formula_residual_budget(self) -> float:
         """Closed-form residual color budget, d_hat/ln^2(d_hat) + 2; the run
@@ -144,7 +160,7 @@ def _check_palette(palette, sigma_colors: np.ndarray, q: int) -> None:
     # pal[r] == r is safe (class r is empty among uncolored vertices once
     # round r runs); any other entry must avoid the start coloring's colors,
     # or a round could recolor a vertex next to an untouched same-color one
-    present = set(np.unique(sigma_colors).tolist())
+    present = set(_distinct(sigma_colors).tolist())
     bad = sorted({c for i, c in enumerate(pal) if c != i and c in present})
     if bad:
         raise PaletteError(
@@ -199,9 +215,9 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
 
     in_u = np.ones(n, dtype=bool)
     u_count = n
-    round_pools: list[list[int]] = []
+    round_pools: list[np.ndarray] = []
     round_classes: list[int] = []
-    finalized: list[int] = []
+    takes: list[np.ndarray] = []
     rounds = 0
     k_ptr = 0
 
@@ -228,15 +244,14 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
         colors[taken] = target
         in_u[taken] = False
         u_count -= taken.shape[0]
-        finalized.extend(taken.tolist())
+        takes.append(taken)
         rounds += 1
         round_pools.append(pool)
         round_classes.append(k_ptr)
 
     # each vertex moved at most once, when finalized, if its color changed
-    moved = np.array(finalized, dtype=np.int64)
-    moved = moved[colors[moved] != part.class_of[moved]]
-    trajectory = list(range(n, u_count - 1, -1))
+    finalized = np.concatenate(takes) if takes else np.zeros(0, dtype=np.int64)
+    moved = finalized[colors[finalized] != part.class_of[finalized]]
 
     # residual pass on the leftover set
     residual_vertices = np.flatnonzero(in_u)
@@ -260,18 +275,11 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
 
     phase1_moves = np.column_stack((moved, colors[moved]))
     trace = Trace(start=inst.sigma, moves=np.concatenate((phase1_moves, residual_moves)))
-    phase1 = rounds
-    residual_colors = len(fresh_used)
-    total = phase1 + residual_colors
-    report = GreedyReport(
-        trace=trace, rounds=rounds, phase1_colors=phase1,
-        residual_colors=residual_colors, total_colors=total,
-        residual_size=residual_size, residual_degeneracy=residual_degeneracy,
-        trajectory=trajectory, round_pools=round_pools,
-        round_classes=round_classes, finalized=finalized,
-        params=params, l_used=int(L), residual_fresh_used=fresh_used,
-        q0_comparison=(total / params.q0 if params.q0 else None))
-    return report
+    return GreedyReport(
+        trace=trace, rounds=rounds, residual_size=residual_size,
+        residual_degeneracy=residual_degeneracy, finalized=finalized,
+        round_pools=round_pools, round_classes=round_classes, params=params,
+        l_used=int(L), residual_fresh_used=fresh_used)
 
 
 def simulate_recurrence(u0: int, p_hat: float, seed: int) -> list[int]:

@@ -153,7 +153,9 @@ def certify_trace(h: HqGraph, trace: Trace) -> bool:
     i = h.index.get(tuple(current))
     if i is None:
         return False
-    for v, c in iter_moves(trace.moves):
+    for s, (v, c) in enumerate(iter_moves(trace.moves)):
+        if not 0 <= v < len(current):
+            raise ValueError(f"step {s}: vertex {v} out of range")
         if not 0 <= c < h.q:
             raise ValueError(f"move color {c} outside [0, {h.q})")
         current[v] = c

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import Coloring, Trace, colors_used, hamming, is_proper, reverse_moves
 from .errors import PaletteError
-from .graphs import (GenParams, Graph, PlantedInstance, Partition,
+from .graphs import (GenParams, Graph, PlantedInstance, Partition, _distinct,
                      partition_from_class_of)
 from .greedy import GreedyReport, run_greedy_recolor
 
@@ -43,11 +43,11 @@ def _check_work_palette(work_palette, sigma: Coloring, tau: Coloring) -> list[in
     pal = [int(c) for c in work_palette]
     if len(set(pal)) != len(pal):
         raise PaletteError("work palette colors must be distinct")
-    tau_colors = set(np.unique(tau.colors).tolist())
+    tau_colors = set(_distinct(tau.colors).tolist())
     overlap = tau_colors.intersection(pal)
     if overlap:
         raise PaletteError(f"work palette overlaps target colors: {sorted(overlap)[:5]}")
-    sigma_colors = set(np.unique(sigma.colors).tolist())
+    sigma_colors = set(_distinct(sigma.colors).tolist())
     overlap = sigma_colors.intersection(pal)
     if overlap:
         raise PaletteError(f"work palette overlaps start colors: {sorted(overlap)[:5]}")

@@ -11,21 +11,24 @@ field for field; it is not imported by the package.
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 
 import numpy as np
 
 from colorwalk.coloring import Coloring, Move, Trace
 from colorwalk.errors import InternalInvariantError, PaletteError
 from colorwalk.graphs import induced_subgraph
-from colorwalk.greedy import (SELECTORS, GreedyReport, _check_palette,
-                              _IdentityPalette, derive_params)
+from colorwalk.greedy import (SELECTORS, _check_palette, _IdentityPalette,
+                              derive_params)
 from colorwalk.residual import degeneracy_recolor_greedy
 from colorwalk.rng import make_rng
 
 
 def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
-                             selector_seed=None, strict=False) -> GreedyReport:
-    """Same contract and report as ``run_greedy_recolor``."""
+                             selector_seed=None, strict=False) -> SimpleNamespace:
+    """Same contract as ``run_greedy_recolor``. The report is a namespace
+    holding every value of a ``GreedyReport`` under its name, the ones the
+    library derives included, each built by this loop."""
     g = inst.graph
     part = inst.partition
     n, q = g.n, part.q
@@ -177,7 +180,7 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
     phase1 = rounds
     residual_colors = len(fresh_used)
     total = phase1 + residual_colors
-    report = GreedyReport(
+    report = SimpleNamespace(
         trace=trace, rounds=rounds, phase1_colors=phase1,
         residual_colors=residual_colors, total_colors=total,
         residual_size=residual_size, residual_degeneracy=residual_degeneracy,

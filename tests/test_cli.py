@@ -389,6 +389,21 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == "error: subset_samples must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("scaling", ["--d", "1"], "average degree must exceed 1, got 1"),
+        ("scaling", ["--d", "3", "--d-sweep", "1,3"], "average degree must exceed 1, got 1"),
+        ("scaling", ["--d", "0"], "average degree must exceed 1, got 0"),
+        ("density", ["--d", "0", "--q", "3"], "degree too small for the subset size cap"),
+    ], ids=["scaling-d1", "scaling-sweep", "scaling-d0", "density-d0"])
+    def test_experiment_rejects_low_degree(self, tmp_path, capsys, kind, extra, message):
+        # ln d is zero or undefined here: no ZeroDivisionError or math domain error
+        out = tmp_path / "o.csv"
+        code = main(["experiment", kind, "--n", "200", "--seed", "1", *extra,
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

@@ -79,6 +79,13 @@ class TestDensityExperiment:
         assert s["subset_violations"] == 0
         assert s["fraction_residual_within_l"] == 1.0
 
+    @pytest.mark.parametrize("d", [0.0, -2.0])
+    def test_nonpositive_degree_rejected(self, monkeypatch, d):
+        monkeypatch.setattr(experiments, "_run_trials", None)  # no trial may run
+        cfg = ExperimentConfig(name="density", n=200, d=d, q=3, seed=1)
+        with pytest.raises(InfeasibleError, match="^degree too small for the subset size cap$"):
+            run_density_experiment(cfg)
+
     def test_degeneracy_only_mode(self):
         cfg = ExperimentConfig(name="density", n=500, d=20.0, q=10,
                                trials=2, seed=5, subset_samples=0)
@@ -148,6 +155,16 @@ class TestScalingExperiment:
         cfg = ExperimentConfig(name="scaling", n=1000, d=128.0, trials=1, seed=4)
         rep = run_scaling_experiment(cfg)
         assert all(row[9] == "inactive" for row in rep.rows)
+
+    @pytest.mark.parametrize("d, sweep", [(1.0, ()), (0.0, ()), (3.0, (3.0, 1.0)),
+                                          (3.0, (0.5, 3.0))])
+    def test_degree_at_most_one_rejected_before_any_trial(self, monkeypatch, d, sweep):
+        # q = ceil(2d / ln d) divides by ln d
+        monkeypatch.setattr(experiments, "_run_trials", None)  # no trial may run
+        cfg = ExperimentConfig(name="scaling", n=200, d=d, seed=1, d_sweep=sweep)
+        low = min(sweep or (d,))
+        with pytest.raises(InfeasibleError, match=f"^average degree must exceed 1, got {low:g}$"):
+            run_scaling_experiment(cfg)
 
     def test_pool_bound_scaling_interpretation(self):
         assert per_round_pool_bound(100.0, 1e-3, 1000, 100_000) is None  # tiny pool

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from colorwalk import (GenParams, InfeasibleError, PaletteError,
-                       PlantedInstance, build_graph, derive_params,
+                       PlantedInstance, build_graph, coloring_of, derive_params,
                        gen_planted_m, partition_from_class_of,
                        random_partition, run_greedy_recolor,
-                       simulate_recurrence, verify_trace)
+                       simulate_recurrence, transform_with_report, verify_trace)
 from colorwalk.rng import derived_rng
 
 
@@ -172,7 +173,29 @@ class TestGreedyRecolor:
         a = run_greedy_recolor(inst)
         b = run_greedy_recolor(inst)
         assert np.array_equal(a.trace.moves, b.trace.moves)
-        assert a.trajectory == b.trajectory
+        assert np.array_equal(a.trajectory, b.trajectory)
+
+    def test_report_shape_after_transform(self):
+        # transform_with_report replaces residual_fresh_used with palette
+        # colors; the derived counts must follow it
+        part = random_partition(300, 4, 900, seed=5)
+        inst = gen_planted_m(part, 900, seed=6)
+        tau = coloring_of(inst.sigma.colors + 100)
+        _, rep = transform_with_report(inst.graph, inst.sigma, tau, range(200, 520), L=150)
+        assert rep.residual_size > 0 and rep.residual_colors > 0
+        assert all(c >= 200 for c in rep.residual_fresh_used)
+        assert isinstance(rep.finalized, np.ndarray) and rep.finalized.dtype == np.int64
+        assert rep.finalized.shape[0] == 300 - rep.residual_size
+        assert len(rep.round_pools) == rep.rounds
+        for pool in rep.round_pools:
+            assert isinstance(pool, np.ndarray) and pool.dtype == np.int64
+        counts = {name: getattr(rep, name) for name in (
+            "rounds", "phase1_colors", "residual_colors", "total_colors",
+            "residual_size", "residual_degeneracy", "l_used")}
+        assert json.loads(json.dumps(counts)) == counts
+        assert rep.residual_colors == len(rep.residual_fresh_used)
+        assert rep.total_colors == rep.rounds + rep.residual_colors
+        assert rep.trajectory.tolist() == list(range(300, rep.residual_size - 1, -1))
 
     def test_residual_only_when_l_is_n(self):
         part = random_partition(50, 5, 100, seed=1)

@@ -1,8 +1,6 @@
 """Differential test: ``run_greedy_recolor`` against the per-vertex heap
 loop it replaced (``greedy_reference.reference_greedy_recolor``)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +9,8 @@ import colorwalk.graphs as graphs
 from colorwalk import (GenParams, PlantedInstance, build_graph, gen_planted_m,
                        partition_from_class_of, random_partition,
                        run_greedy_recolor)
-from colorwalk.greedy import GreedyReport
 from greedy_reference import reference_greedy_recolor
+from report_check import assert_same_report
 
 SELECTORS = ("lowest", "random", "highest_degree")
 PALETTES = ("identity", "disjoint", "mixed", "short")
@@ -40,13 +38,7 @@ def assert_same(got, want):
     if isinstance(want, tuple):
         assert got == want
         return
-    assert isinstance(got, GreedyReport)
-    assert np.array_equal(got.trace.start.colors, want.trace.start.colors)
-    assert got.trace.start.palette_hint == want.trace.start.palette_hint
-    assert np.array_equal(got.trace.moves, want.trace.moves)
-    for f in dataclasses.fields(GreedyReport):
-        if f.name != "trace":
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_report(got, want)
 
 
 def check(inst, selector, strict, L, palette, selector_seed=None):

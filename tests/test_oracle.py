@@ -167,6 +167,21 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_trace(h, t)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_vertex_out_of_range_raises(self, v, step):
+        # -1 must not wrap to vertex 2 as a negative index, nor 3 raise IndexError
+        g = build_graph(3, [(0, 1)])
+        h = enumerate_hq(g, 3)
+        moves = [Move(2, 2)][:step] + [Move(v, 2)]
+        t = Trace(start=coloring_of([0, 1, 0], 3), moves=moves)
+        message = f"step {step}: vertex {v} out of range"
+        with pytest.raises(ValueError) as certified:
+            certify_trace(h, t)
+        with pytest.raises(ValueError) as verified:
+            verify_trace(g, t)
+        assert str(certified.value) == str(verified.value) == message
+
     def test_valid_walk_certified(self):
         g = build_graph(1, [])
         h = enumerate_hq(g, 3)
