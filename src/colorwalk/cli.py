@@ -257,8 +257,7 @@ def _cmd_verify(args) -> int:
     n, _ = io.read_trace_header(args.trace)
     if n != g.n:
         raise FormatError(args.trace, 1, f"trace n={n} does not match graph n={g.n}")
-    trace = Trace(start=start)
-    ok, failure = verify_trace(g, trace, moves=io.iter_trace_moves(args.trace))
+    ok, failure = verify_trace(g, Trace(start=start), moves=io.iter_trace_moves(args.trace))
     if ok:
         print("ok")
         return 0

@@ -9,7 +9,6 @@ always sit at Hamming distance exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -19,7 +18,7 @@ from .graphs import Graph, _distinct, _gather
 REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
 REASON_BAD_START = "start coloring improper"
-CHUNK = 1 << 16  # move rows per verify pass and per .tolist() conversion
+CHUNK = 1 << 16  # rows per verify pass, per .tolist() conversion and per file block
 NEIGHBOR_BUDGET = 1 << 18  # neighbor entries one verify pass gathers at most
 
 
@@ -115,43 +114,6 @@ def colors_used(c: Coloring) -> int:
     return int(_distinct(c.colors).shape[0])
 
 
-def _bad_move(step: int, v: int, c: int, n: int) -> ValueError:
-    """The error of a move with a vertex outside [0, n), a negative color or
-    (only from an iterator) a color beyond int64, checked in that order."""
-    if not 0 <= v < n:
-        return ValueError(f"step {step}: vertex {v} out of range")
-    if c < 0:
-        return ValueError(f"step {step}: negative color")
-    return ValueError(f"step {step}: color {c} outside the int64 range")
-
-
-def _verify_rows(g: Graph, colors: np.ndarray, moves: np.ndarray,
-                 step: int) -> TraceFailure | None:
-    """Check the (k, 2) move rows against ``colors`` and apply those that pass.
-
-    ``moves[0]`` is trace step ``step``. The rows go in passes of at most
-    CHUNK rows and NEIGHBOR_BUDGET neighbor entries (``_check_pass``). A
-    pass also ends before the first malformed row, whose ValueError is
-    raised once the rows before it have passed. Returns the first failure,
-    after which ``colors`` must be dropped.
-    """
-    n = g.n
-    lo = 0
-    while lo < moves.shape[0]:
-        v, c = moves[lo:lo + CHUNK, 0], moves[lo:lo + CHUNK, 1]
-        bad = (v < 0) | (v >= n) | (c < 0)
-        if bad[0]:
-            raise _bad_move(step + lo, v[0], c[0], n)
-        if bad.any():
-            cut = int(np.argmax(bad))
-            v, c = v[:cut], c[:cut]
-        p, failure = _check_pass(g, colors, v, c)
-        if failure is not None:
-            return TraceFailure(step + lo + failure.step, failure.reason)
-        lo += p
-    return None
-
-
 def _pass_entries(g: Graph, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(p, row, u): the first p vertices of ``v`` hold at most
     NEIGHBOR_BUDGET neighbor entries (p >= 1), and u[i] is a neighbor of
@@ -236,64 +198,44 @@ def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray,
     return p, None
 
 
-def _pull(source: Iterator, vertices: list, new_colors: list) -> Exception | None:
-    """Append up to CHUNK (vertex, new_color) moves of ``source`` to the two
-    lists as ints; returns what the source, unpacking a move or converting
-    a value with operator.index raised instead of raising it, so the moves
-    read before it can be verified first."""
-    try:
-        for v, c in source:
-            v, c = index(v), index(c)
-            vertices.append(v)
-            new_colors.append(c)
-            if len(vertices) == CHUNK:
-                break
-    except Exception as exc:
-        return exc
-    return None
-
-
 def verify_trace(g: Graph, trace: Trace,
-                 moves: Iterable[Move] | None = None) -> tuple[bool, TraceFailure | None]:
+                 moves: Iterable[np.ndarray] | None = None) -> tuple[bool, TraceFailure | None]:
     """Validity check of a trace in bounded chunks.
 
     Keeps only the current coloring and one pass's scratch (at most CHUNK
     moves and NEIGHBOR_BUDGET neighbor entries, or one vertex's
-    neighborhood), whatever the trace's length. Reports the
-    first violating step: a move that recreates a monochromatic edge, or
-    a move that does not change its vertex's color (a no-op wins a tie).
-    ``moves`` overrides ``trace.moves`` so callers can stream from disk;
-    it is read CHUNK moves at a time, and an exception it raises surfaces
-    only if every move read before it passes.
+    neighborhood, ``_check_pass``), whatever the trace's length. Reports
+    the first violating step: a move that recreates a monochromatic edge,
+    or a move that does not change its vertex's color (a no-op wins a tie).
+    A move with a vertex outside [0, n) or a negative color raises a
+    ValueError once every move before it has passed. ``moves`` overrides
+    the one block ``(trace.moves,)`` with an iterable of (k, 2) move
+    blocks, so callers can stream from disk; each block converts as
+    ``Trace(moves=)`` would, and is pulled only once every move before it
+    has passed.
     """
     if trace.start.n != g.n:
         raise ValueError("start coloring length does not match graph")
     colors = trace.start.colors.copy()
     if g.m and np.any(colors[g.edge_u] == colors[g.edge_v]):
         return False, TraceFailure(-1, REASON_BAD_START)
-    if moves is None:
-        failure = _verify_rows(g, colors, trace.moves, 0)
-        return failure is None, failure
-    source, step = iter(moves), 0
-    while True:
-        vertices: list = []
-        new_colors: list = []
-        error = _pull(source, vertices, new_colors)
-        try:
-            rows = np.array((vertices, new_colors), dtype=np.int64).T
-        except OverflowError:  # the first move outside int64 is a bad move
-            i = next(i for i, move in enumerate(zip(vertices, new_colors))
-                     if not all(-2 ** 63 <= x < 2 ** 63 for x in move))
-            error = _bad_move(step + i, vertices[i], new_colors[i], g.n)
-            rows = np.array((vertices[:i], new_colors[:i]), dtype=np.int64).T
-        failure = _verify_rows(g, colors, rows, step)
-        if failure is not None:
-            return False, failure
-        if error is not None:
-            raise error
-        if len(vertices) < CHUNK:
-            return True, None
-        step += CHUNK
+    step = 0  # of the next move to check
+    for block in (trace.moves,) if moves is None else moves:
+        block = move_array(block)
+        while block.shape[0]:
+            v, c = block[:CHUNK, 0], block[:CHUNK, 1]
+            bad = (v < 0) | (v >= g.n) | (c < 0)
+            if bad[0]:
+                fault = f"vertex {v[0]} out of range" if not 0 <= v[0] < g.n else "negative color"
+                raise ValueError(f"step {step}: {fault}")
+            if bad.any():  # the pass ends before the first malformed move
+                cut = int(np.argmax(bad))
+                v, c = v[:cut], c[:cut]
+            p, failure = _check_pass(g, colors, v, c)
+            if failure is not None:
+                return False, TraceFailure(step + failure.step, failure.reason)
+            block, step = block[p:], step + p
+    return True, None
 
 
 def apply_trace(g: Graph, trace: Trace, strict: bool = False) -> Coloring:

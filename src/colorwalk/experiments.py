@@ -313,10 +313,14 @@ def per_round_pool_bound(d_hat: float, p_hat: float, u_start: int, n: int) -> fl
     return value / p_hat
 
 
+def _scaling_q(d: float) -> int:
+    return math.ceil(2 * d / math.log(d))
+
+
 def _scaling_trial(args):
     (cfg, d), i = args
     n = cfg.n
-    q = math.ceil(2 * d / math.log(d))
+    q = _scaling_q(d)
     m = round(d * n / 2)
     part = balanced_partition(n, q, derive_seed(cfg.seed, i, 5, int(d)))
     params = derive_params(n, m, q, part)
@@ -346,6 +350,9 @@ def run_scaling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     sweep = cfg.d_sweep or (cfg.d,)
     if min(sweep) <= 1:  # q = ceil(2d / ln d) needs ln d > 0
         raise InfeasibleError(f"average degree must exceed 1, got {min(sweep):g}")
+    for d in sweep:  # a planted instance needs a vertex in every class
+        if _scaling_q(d) > cfg.n:
+            raise InfeasibleError(f"q={_scaling_q(d)} exceeds n={cfg.n} at average degree {d:g}")
     rows = []
     ratios_by_d = []
     for d in sweep:

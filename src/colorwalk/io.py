@@ -8,17 +8,25 @@ Trace file:     "n k" then k lines "vertex new_color".
 
 All values decimal, newline-terminated. Writers go through a temp file and
 rename, so a failed run never leaves a partial artifact behind.
+
+Every reader parses rows through one block reader (``_blocks``) and
+reports the first faulty line of the file as ``FormatError(path, line,
+message)``, whatever the fault: a wrong field count, a non-integer, a
+blank line, a value beyond int64 or out of range, an edge out of order, a
+missing line or trailing content. Files are read as UTF-8; a byte that is
+not UTF-8 makes its field a non-integer at its own line.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .coloring import Coloring, Move, Trace, iter_moves
+from .coloring import CHUNK, Coloring, Trace, iter_moves
 from .errors import FormatError
 from .graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
                      partition_from_class_of)
@@ -39,6 +47,11 @@ def _atomic_write(path: str, line_iter: Iterable[str]) -> None:
         raise
 
 
+def _open(path: str):
+    """``path`` as UTF-8 text; a byte that is not UTF-8 reads as U+FFFD."""
+    return open(path, encoding="utf-8", errors="replace")
+
+
 def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
     parts = text.split()
     if len(parts) != count:
@@ -47,6 +60,57 @@ def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
         return [int(p) for p in parts]
     except ValueError:
         raise FormatError(path, lineno, f"non-integer field in {text!r}") from None
+
+
+def _header(path: str, f, names: str) -> tuple[int, int]:
+    """The two nonnegative integers on line 1 of a graph or trace file."""
+    header = f.readline()
+    if not header:
+        raise FormatError(path, 1, "empty file")
+    a, b = _parse_ints(path, 1, header, 2)
+    if a < 0 or b < 0:
+        raise FormatError(path, 1, f"negative {names}")
+    return a, b
+
+
+def _blocks(path: str, f, width: int, beyond: Callable[[list[int]], str],
+            count: int | None = None, noun: str = "") -> Iterator[tuple[int, np.ndarray]]:
+    """The rest of ``f`` as (line of the first row, (<=CHUNK, width) int64
+    block) pairs. With ``count``, ``f`` is past its header line and exactly
+    ``count`` lines of ``noun`` rows follow; without it, rows run from line
+    1 to the end of the file and a blank line is a fault. ``beyond(row)``
+    is the message of a row with a value outside int64. A faulty line
+    raises its FormatError once the rows before it are yielded.
+    """
+    line = 1 if count is None else 2
+    end = None if count is None else 2 + count
+    while True:
+        first, flat, error = line, [], None
+        try:
+            for text in islice(f, CHUNK):
+                if line == end:
+                    raise FormatError(path, line, f"trailing content after {noun} list")
+                if end is None and not text.strip():
+                    raise FormatError(path, line, "blank line")
+                flat += _parse_ints(path, line, text, width)
+                line += 1
+            if line - first < CHUNK and end is not None and line < end:
+                raise FormatError(path, line,
+                                  f"expected {count} {noun} lines, file ended early")
+        except FormatError as exc:
+            error = exc
+        try:
+            block = np.array(flat, dtype=np.int64).reshape(-1, width)
+        except OverflowError:
+            i = next(i for i, x in enumerate(flat) if not -2 ** 63 <= x < 2 ** 63) // width
+            error = FormatError(path, first + i, beyond(flat[i * width:(i + 1) * width]))
+            block = np.array(flat[:i * width], dtype=np.int64).reshape(-1, width)
+        if len(block):
+            yield first, block
+        if error is not None:
+            raise error
+        if line - first < CHUNK:
+            return
 
 
 def write_graph(path: str, g: Graph) -> None:
@@ -58,35 +122,30 @@ def write_graph(path: str, g: Graph) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    with open(path) as f:
-        header = f.readline()
-        if not header:
-            raise FormatError(path, 1, "empty file")
-        n, m = _parse_ints(path, 1, header, 2)
-        if n < 0 or m < 0:
-            raise FormatError(path, 1, "negative n or m")
+    codes: list[np.ndarray] = []
+    prev = -1
+    with _open(path) as f:
+        n, m = _header(path, f, "n or m")
         if n > 2 ** 31 - 1:  # Graph stores vertex ids as int32
             raise FormatError(path, 1, f"n={n} exceeds the int32 vertex id range")
         if m > _comb2(n):
             raise FormatError(path, 1, f"m={m} exceeds the {_comb2(n)} vertex pairs of n={n}")
-        codes = np.empty(m, dtype=np.int64)
-        prev = -1
-        for i in range(m):
-            lineno = i + 2
-            line = f.readline()
-            if not line:
-                raise FormatError(path, lineno, f"expected {m} edge lines, file ended early")
-            u, v = _parse_ints(path, lineno, line, 2)
-            if not (0 <= u < v < n):
-                raise FormatError(path, lineno, f"edge ({u}, {v}) violates 0 <= u < v < n")
-            code = u * n + v
-            if code <= prev:
-                raise FormatError(path, lineno, "edges not in ascending lexicographic order")
-            prev = code
-            codes[i] = code
-        if f.readline():
-            raise FormatError(path, m + 2, "trailing content after edge list")
-    return _graph_from_sorted_codes(n, codes)
+
+        def fault(row: list[int]) -> str:  # of an edge out of range or out of order
+            u, v = row
+            if 0 <= u < v < n:
+                return "edges not in ascending lexicographic order"
+            return f"edge ({u}, {v}) violates 0 <= u < v < n"
+        for line, block in _blocks(path, f, 2, fault, m, "edge"):
+            u, v = block[:, 0], block[:, 1]
+            code = u * n + v  # may wrap only on a row the range check rejects
+            bad = (u < 0) | (u >= v) | (v >= n) | (np.diff(code, prepend=prev) <= 0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise FormatError(path, line + i, fault(block[i].tolist()))
+            codes.append(code)
+            prev = code[-1]
+    return _graph_from_sorted_codes(n, np.concatenate(codes) if codes else np.empty(0, np.int64))
 
 
 def write_partition(path: str, part: Partition) -> None:
@@ -94,10 +153,7 @@ def write_partition(path: str, part: Partition) -> None:
 
 
 def read_partition(path: str, q: int | None = None) -> Partition:
-    values = _read_int_column(path)
-    if values.size and values.min() < 0:
-        raise FormatError(path, int(np.argmin(values)) + 1, "negative class index")
-    return partition_from_class_of(values, q)
+    return partition_from_class_of(_read_int_column(path, "negative class index"), q)
 
 
 def write_coloring(path: str, c: Coloring) -> None:
@@ -105,25 +161,20 @@ def write_coloring(path: str, c: Coloring) -> None:
 
 
 def read_coloring(path: str, palette_hint: int = -1) -> Coloring:
-    values = _read_int_column(path)
-    if values.size and values.min() < 0:
-        raise FormatError(path, int(np.argmin(values)) + 1, "negative color")
-    return Coloring(values, palette_hint)
+    return Coloring(_read_int_column(path, "negative color"), palette_hint)
 
 
-def _read_int_column(path: str) -> np.ndarray:
-    out: list[int] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                raise FormatError(path, lineno, "blank line")
-            (value,) = _parse_ints(path, lineno, line, 1)
-            out.append(value)
-    try:
-        return np.asarray(out, dtype=np.int64)
-    except OverflowError:
-        i = next(i for i, x in enumerate(out) if not -2 ** 63 <= x < 2 ** 63)
-        raise FormatError(path, i + 1, f"value {out[i]} outside the int64 range") from None
+def _read_int_column(path: str, negative: str) -> np.ndarray:
+    """The values of a one-integer-per-line file; ``negative`` is the
+    message of a negative value."""
+    values: list[np.ndarray] = []
+    with _open(path) as f:
+        for line, block in _blocks(path, f, 1,
+                                   lambda row: f"value {row[0]} outside the int64 range"):
+            if (block < 0).any():
+                raise FormatError(path, line + int(np.argmax(block < 0)), negative)
+            values.append(block[:, 0])
+    return np.concatenate(values) if values else np.empty(0, np.int64)
 
 
 def write_trace(path: str, trace: Trace) -> None:
@@ -135,43 +186,38 @@ def write_trace(path: str, trace: Trace) -> None:
 
 
 def read_trace_header(path: str) -> tuple[int, int]:
-    with open(path) as f:
-        header = f.readline()
-        if not header:
-            raise FormatError(path, 1, "empty file")
-        n, k = _parse_ints(path, 1, header, 2)
-    if n < 0 or k < 0:
-        raise FormatError(path, 1, "negative n or k")
-    return n, k
+    with _open(path) as f:
+        return _header(path, f, "n or k")
 
 
-def iter_trace_moves(path: str) -> Iterator[Move]:
-    """Stream moves from a trace file without materializing them."""
-    n, k = read_trace_header(path)
-    with open(path) as f:
-        f.readline()
-        for i in range(k):
-            lineno = i + 2
-            line = f.readline()
-            if not line:
-                raise FormatError(path, lineno, f"expected {k} move lines, file ended early")
-            v, c = _parse_ints(path, lineno, line, 2)
+def iter_trace_moves(path: str) -> Iterator[np.ndarray]:
+    """Stream the moves of a trace file as checked (<=CHUNK, 2) int64
+    blocks, without materializing them. A faulty line raises its
+    FormatError once the moves before it are yielded."""
+    with _open(path) as f:
+        n, k = _header(path, f, "n or k")
+
+        def fault(row: list[int]) -> str:  # of a move out of range or beyond int64
+            v, c = row
             if not 0 <= v < n:
-                raise FormatError(path, lineno, f"vertex {v} out of range")
-            if c < 0:
-                raise FormatError(path, lineno, "negative color")
-            if c >= 2 ** 63:  # colorings are int64
-                raise FormatError(path, lineno, f"color {c} outside the int64 range")
-            yield Move(v, c)
-        if f.readline():
-            raise FormatError(path, k + 2, "trailing content after move list")
+                return f"vertex {v} out of range"
+            return "negative color" if c < 0 else f"color {c} outside the int64 range"
+        for line, block in _blocks(path, f, 2, fault, k, "move"):
+            v, c = block[:, 0], block[:, 1]
+            bad = (v < 0) | (v >= n) | (c < 0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                yield block[:i]
+                raise FormatError(path, line + i, fault(block[i].tolist()))
+            yield block
 
 
 def read_trace(path: str, start: Coloring) -> Trace:
     n, _ = read_trace_header(path)
     if start.n != n:
         raise FormatError(path, 1, f"trace n={n} does not match start coloring n={start.n}")
-    return Trace(start=start, moves=list(iter_trace_moves(path)))
+    blocks = list(iter_trace_moves(path))
+    return Trace(start=start, moves=np.concatenate(blocks) if blocks else ())
 
 
 def write_records(path: str, items: list[tuple[str, object]]) -> None:

@@ -324,6 +324,24 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {tmp_path / bad}:2: {what} {HUGE} outside the int64 range"]
 
+    @pytest.mark.parametrize("bad", ["g.txt", "c.txt", "t.txt", "p.txt"],
+                             ids=["graph", "coloring", "trace", "partition"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys, bad):
+        files = {"g.txt": b"2 1\n0 1\n", "c.txt": b"0\n1\n", "t.txt": b"2 1\n0 2\n",
+                 "p.txt": b"0\n1\n"}
+        files[bad] = files[bad][:-2] + b"\xff\n"  # the last value of line 2
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        if bad == "p.txt":
+            args = ["params", "--n", "2", "--m", "1", "--q", "2", "--partition", tmp_path / bad]
+        else:
+            args = ["verify", "--graph", tmp_path / "g.txt", "--start", tmp_path / "c.txt",
+                    "--trace", tmp_path / "t.txt"]
+        assert main([str(a) for a in args]) == 2
+        text = files[bad].decode(errors="replace").splitlines(keepends=True)[1]
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / bad}:2: non-integer field in {text!r}\n")
+
     def test_partition_class_beyond_int64_exits_two(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("2 0\n")
         (tmp_path / "p.txt").write_text(f"0\n-{HUGE}\n")
@@ -394,9 +412,11 @@ class TestUsageAndErrors:
         ("scaling", ["--d", "3", "--d-sweep", "1,3"], "average degree must exceed 1, got 1"),
         ("scaling", ["--d", "0"], "average degree must exceed 1, got 0"),
         ("density", ["--d", "0", "--q", "3"], "degree too small for the subset size cap"),
-    ], ids=["scaling-d1", "scaling-sweep", "scaling-d0", "density-d0"])
+        ("scaling", ["--d", "1.01"], "q=204 exceeds n=200 at average degree 1.01"),
+    ], ids=["scaling-d1", "scaling-sweep", "scaling-d0", "density-d0", "scaling-q-beyond-n"])
     def test_experiment_rejects_low_degree(self, tmp_path, capsys, kind, extra, message):
-        # ln d is zero or undefined here: no ZeroDivisionError or math domain error
+        # ln d is zero or undefined here: no ZeroDivisionError or math domain
+        # error; or q = ceil(2d / ln d) exceeds n, so a class would be empty
         out = tmp_path / "o.csv"
         code = main(["experiment", kind, "--n", "200", "--seed", "1", *extra,
                      "--out", str(out)])

@@ -186,33 +186,35 @@ class TestApplyTrace:
             apply_trace(g, t, strict=True)
 
     def test_streaming_memory_contract(self):
-        # verify consumes an iterator without materializing it
+        # verify consumes an iterator of move blocks without materializing it
         g = build_graph(2, [])
         start = coloring_of([0, 0], 10)
 
         def gen():
-            color = 0
-            for i in range(10000):
-                yield Move(0, (color := (color % 9) + 1))
+            for i in range(100):
+                yield np.column_stack((np.zeros(100, dtype=np.int64),
+                                       np.arange(100 * i, 100 * i + 100) % 9 + 1))
 
         ok, _ = verify_trace(g, Trace(start=start), moves=gen())
         assert ok
 
     def test_stream_stops_within_one_chunk_of_a_failure(self):
-        # a million-move source failing at step 5 is read one chunk deep
-        from colorwalk.coloring import CHUNK
+        # a million-move source failing at step 5 is read one block deep
         g = build_graph(2, [(0, 1)])
         pulled = 0
 
         def gen():
             nonlocal pulled
-            for i in range(10 ** 6):
+            for b in range(1000):
                 pulled += 1
-                yield Move(0, 1 if i == 5 else 2 + i % 2)
+                colors = 2 + np.arange(1000 * b, 1000 * b + 1000) % 2
+                if b == 0:
+                    colors[5] = 1
+                yield np.column_stack((np.zeros(1000, dtype=np.int64), colors))
 
         ok, failure = verify_trace(g, Trace(start=coloring_of([0, 1])), moves=gen())
         assert (ok, failure) == (False, (5, REASON_MONOCHROMATIC))
-        assert pulled <= CHUNK
+        assert pulled == 1
 
 
 class TestTraceConstruction:

@@ -93,6 +93,22 @@ class TestColumnFiles:
             cwio.read_coloring(str(path))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("0\n-1\n-5\n", 2, "negative {what}"),
+        ("0\n-5\nx\n", 2, "negative {what}"),
+        (f"0\n{2 ** 70}\n1 2\n", 2, f"value {2 ** 70} outside the int64 range"),
+        (f"x\n{2 ** 70}\n", 1, "non-integer field in 'x\\n'"),
+    ], ids=["negative", "negative-then-parse", "int64-then-parse", "parse-then-int64"])
+    @pytest.mark.parametrize("read, what", [(cwio.read_partition, "class index"),
+                                            (cwio.read_coloring, "color")],
+                             ids=["partition", "coloring"])
+    def test_first_faulty_line_wins(self, tmp_path, read, what, text, line, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            read(str(path))
+        assert str(exc.value) == f"{path}:{line}: {message.format(what=what)}"
+
 
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
@@ -104,11 +120,15 @@ class TestTraceFiles:
         back = cwio.read_trace(str(path), start)
         assert np.array_equal(back.moves, t.moves)
 
-    def test_streaming_iterator(self, tmp_path):
+    def test_streaming_iterator(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
-        path.write_text("4 2\n1 5\n0 6\n")
-        moves = list(cwio.iter_trace_moves(str(path)))
-        assert moves == [Move(1, 5), Move(0, 6)]
+        path.write_text("4 3\n1 5\n0 6\n2 1\n")
+        blocks = list(cwio.iter_trace_moves(str(path)))
+        assert [b.tolist() for b in blocks] == [[[1, 5], [0, 6], [2, 1]]]
+        assert blocks[0].dtype == np.int64
+        monkeypatch.setattr(cwio, "CHUNK", 2)
+        blocks = list(cwio.iter_trace_moves(str(path)))
+        assert [b.tolist() for b in blocks] == [[[1, 5], [0, 6]], [[2, 1]]]
 
     def test_vertex_out_of_range(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -1,7 +1,8 @@
 """Differential test: the chunked ``verify_trace`` kernel and the loop-free
 ``apply_trace`` against the per-move loops they replaced
-(``verify_reference``), on the in-memory array and on the ``moves=``
-iterator, with the pass limits shrunk so short traces span many passes."""
+(``verify_reference``), on the in-memory array and on a ``moves=`` source
+of move blocks, with the pass limits shrunk so short traces span many
+passes. The reference reads the same moves one at a time."""
 
 import dataclasses
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import colorwalk.coloring as coloring
 from colorwalk import Move, Trace, apply_trace, build_graph, coloring_of, verify_trace
-from colorwalk.coloring import REASON_BAD_START, REASON_MONOCHROMATIC, REASON_NOOP
+from colorwalk.coloring import (REASON_BAD_START, REASON_MONOCHROMATIC, REASON_NOOP,
+                                move_array)
 from verify_reference import reference_apply_colors, reference_verify_trace
 
 SMALL = {"CHUNK": 3, "NEIGHBOR_BUDGET": 4}
@@ -28,23 +30,44 @@ def outcome(fn, *args, **kw):
         return type(exc), str(exc)
 
 
-def source(moves, raise_at=None):
+def failed(moves, raise_at):
+    if raise_at == len(moves):
+        return SourceError("source failed at the end")
+    return SourceError(f"source failed before move {raise_at}")
+
+
+def flat(moves, raise_at=None):
     """The moves one at a time; raises SourceError before move ``raise_at``."""
     for i, move in enumerate(moves):
         if i == raise_at:
-            raise SourceError(f"source failed before move {i}")
+            raise failed(moves, raise_at)
         yield Move(*move)
     if raise_at == len(moves):
-        raise SourceError("source failed at the end")
+        raise failed(moves, raise_at)
 
 
-def both(g, start, moves, raise_at=None):
-    """(kernel, reference) outcomes on the array and on the iterator."""
+def source(moves, raise_at=None, cuts=None):
+    """The moves in blocks split at ``cuts`` (random when None; a repeated
+    cut makes an empty block), alternately arrays and lists of pairs;
+    raises SourceError once the moves before ``raise_at`` are yielded."""
+    if cuts is None:
+        rng = np.random.default_rng(len(moves))
+        cuts = rng.integers(0, len(moves) + 1, size=rng.integers(0, 6)).tolist()
+    end = len(moves) if raise_at is None else raise_at
+    bounds = sorted([0, end] + [c for c in cuts if c <= end])
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        yield moves[lo:hi] if i % 2 else np.array(moves[lo:hi], dtype=np.int64).reshape(-1, 2)
+    if raise_at is not None:
+        raise failed(moves, raise_at)
+
+
+def both(g, start, moves, raise_at=None, cuts=None):
+    """(kernel, reference) outcomes on the array and on the block source."""
     trace = Trace(start=start, moves=np.array(moves, dtype=np.int64).reshape(-1, 2))
     return [(outcome(verify_trace, g, trace), outcome(reference_verify_trace, g, trace)),
-            (outcome(verify_trace, g, Trace(start=start), moves=source(moves, raise_at)),
+            (outcome(verify_trace, g, Trace(start=start), moves=source(moves, raise_at, cuts)),
              outcome(reference_verify_trace, g, Trace(start=start),
-                     moves=source(moves, raise_at)))]
+                     moves=flat(moves, raise_at)))]
 
 
 @pytest.fixture(params=[SMALL, None], ids=["small-passes", "default-passes"])
@@ -88,26 +111,27 @@ def cases(draw):
         if 0 <= v < n and c >= 0:
             colors[v] = c
     raise_at = draw(st.one_of(st.none(), st.integers(0, len(moves))))
-    return g, start, moves, raise_at
+    cuts = draw(st.lists(st.integers(0, len(moves)), max_size=6))
+    return g, start, moves, raise_at, cuts
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=cases())
 def test_matches_reference_hypothesis(case):
-    g, start, moves, raise_at = case
+    g, start, moves, raise_at, cuts = case
     for limits in (SMALL, {"CHUNK": 1, "NEIGHBOR_BUDGET": 1},
                    {"CHUNK": 3, "NEIGHBOR_BUDGET": 64}, None):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in (limits or {}).items():
                 mp.setattr(coloring, name, value)
-            for got, want in both(g, start, moves, raise_at):
+            for got, want in both(g, start, moves, raise_at, cuts):
                 assert got == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_apply_trace_matches_loop(case):
-    g, start, moves, _ = case
+    g, start, moves, *_ = case
     moves = [(v, c) for v, c in moves if 0 <= v < g.n and c >= 0]
     trace = Trace(start=start, moves=moves)
     end = apply_trace(g, trace)
@@ -216,41 +240,50 @@ def test_source_raising_partway(limits):
 
 
 def test_malformed_source_row_matches_loop(limits):
+    # a block that is not (vertex, new_color) rows raises the ValueError of
+    # move_array once the blocks before it pass; the loop raises a
+    # ValueError on the same move
     g = build_graph(2, [(0, 1)])
-    moves = iter([(0, 2), (1, 3, 4)])
-    got = outcome(verify_trace, g, Trace(start=coloring_of([0, 1])), moves=moves)
-    want = outcome(reference_verify_trace, g, Trace(start=coloring_of([0, 1])),
-                   moves=iter([(0, 2), (1, 3, 4)]))
-    assert got == want and got[0] is ValueError
-    moves = iter([(0, 1), (1, 3, 4)])
-    assert verify_trace(g, Trace(start=coloring_of([0, 1])), moves=moves) == (
-        False, (0, REASON_MONOCHROMATIC))
+    start = Trace(start=coloring_of([0, 1]))
+    for bad in [[(1, 3, 4)], [(1, 3), (1, 3, 4)]]:
+        got = outcome(verify_trace, g, start, moves=iter([[(0, 2)], bad]))
+        want = outcome(reference_verify_trace, g, start, moves=iter([(0, 2)] + bad))
+        assert got == outcome(move_array, bad)
+        assert got[0] is want[0] is ValueError
+        assert verify_trace(g, start, moves=iter([[(0, 1)], bad])) == (
+            False, (0, REASON_MONOCHROMATIC))
 
 
 @pytest.mark.parametrize("value", [None, float("nan"), 1.0, "1"])
 def test_non_integer_from_an_iterator_is_held(limits, value):
-    # a value operator.index rejects raises its TypeError only after the
-    # moves read before it pass; an earlier invalid step is reported first
+    # a block converts as Trace(moves=) converts it: what move_array
+    # rejects (None, NaN) raises only after the blocks before it pass, and
+    # what it accepts (1.0, "1") verifies as the same moves in memory; an
+    # earlier invalid step is reported first
     g = build_graph(3, [(0, 1)])
-    start = Trace(start=coloring_of([0, 1, 0]))
+    start = coloring_of([0, 1, 0])
     for bad in [(value, 2), (2, value)]:
-        got = outcome(verify_trace, g, start, moves=iter([(2, 1), (0, 2), bad, (0, 0)]))
-        assert got[0] is TypeError
-        assert verify_trace(g, start, moves=iter([(2, 1), (0, 1), bad])) == (
+        blocks = [[(2, 1)], np.array([[0, 2]]), [bad, (0, 0)]]
+        got = outcome(verify_trace, g, Trace(start=start), moves=iter(blocks))
+        converted = outcome(move_array, blocks[2])
+        if isinstance(converted, tuple):
+            assert got == converted
+        else:
+            moves = np.concatenate([[(2, 1), (0, 2)], converted])
+            assert got == verify_trace(g, Trace(start=start, moves=moves))
+        assert verify_trace(g, Trace(start=start), moves=iter([[(2, 1)], [(0, 1)], [bad]])) == (
             False, (1, REASON_MONOCHROMATIC))
 
 
 def test_move_beyond_int64_from_an_iterator():
+    # a block holding a value beyond int64 raises move_array's
+    # OverflowError once the blocks before it pass (a trace file names
+    # the line instead, in io); an earlier invalid step is reported first
     g = build_graph(2, [(0, 1)])
-    start = coloring_of([0, 1])
+    start = Trace(start=coloring_of([0, 1]))
     huge = 2 ** 70
-
-    def run(fn, moves):
-        return outcome(fn, g, Trace(start=start), moves=iter(moves))
-    for moves, expected in [([(0, 2), (huge, 1)], (ValueError, f"step 1: vertex {huge} out of range")),
-                            ([(0, 2), (1, -huge)], (ValueError, "step 1: negative color")),
-                            ([(0, 1), (huge, 1)], (False, (0, REASON_MONOCHROMATIC)))]:
-        assert run(verify_trace, moves) == run(reference_verify_trace, moves) == expected
-    # the loop died on this one with an OverflowError when it stored the color
-    assert run(verify_trace, [(0, 2), (1, huge)]) == (
-        ValueError, f"step 1: color {huge} outside the int64 range")
+    for bad in [(huge, 1), (1, -huge), (1, huge)]:
+        got = outcome(verify_trace, g, start, moves=iter([[(0, 2)], [bad]]))
+        assert got == outcome(move_array, [bad]) and got[0] is OverflowError
+        assert verify_trace(g, start, moves=iter([[(0, 1)], [bad]])) == (
+            False, (0, REASON_MONOCHROMATIC))
