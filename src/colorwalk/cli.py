@@ -155,7 +155,7 @@ def _cmd_gen(args) -> int:
 def _cmd_params(args) -> int:
     m = _resolve_m(args)
     if args.partition:
-        part = io.read_partition(args.partition, args.q)
+        part = io.read_partition(args.partition, args.q, n=args.n)
     else:
         class_of = np.arange(args.n, dtype=np.int32) % args.q
         part = partition_from_class_of(class_of, args.q)
@@ -201,7 +201,7 @@ def _report_items(report) -> list[tuple[str, object]]:
 
 def _cmd_recolor(args) -> int:
     g = io.read_graph(args.graph)
-    part = io.read_partition(args.partition)
+    part = io.read_partition(args.partition, n=g.n)
     inst = PlantedInstance(graph=g, partition=part,
                            params=GenParams(n=g.n, q=part.q, model="derived", m=g.m))
     report = run_greedy_recolor(inst, palette=args.palette, L=args.L,
@@ -219,8 +219,8 @@ def _cmd_recolor(args) -> int:
 
 def _cmd_transform(args) -> int:
     g = io.read_graph(args.graph)
-    sigma = io.read_coloring(args.sigma)
-    tau = io.read_coloring(args.tau)
+    sigma = io.read_coloring(args.sigma, n=g.n)
+    tau = io.read_coloring(args.tau, n=g.n)
     if not contiguity_hypothesis_ok(2 * g.m / g.n if g.n else 0.0,
                                     colors_used(sigma)):
         print("warning: degree exceeds the planted-model comparison regime "
@@ -240,9 +240,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_connect(args) -> int:
     g = io.read_graph(args.graph)
-    sigma = io.read_coloring(args.sigma)
-    sigma_prime = io.read_coloring(args.sigma_prime)
-    tau = io.read_coloring(args.tau)
+    sigma = io.read_coloring(args.sigma, n=g.n)
+    sigma_prime = io.read_coloring(args.sigma_prime, n=g.n)
+    tau = io.read_coloring(args.tau, n=g.n)
     trace = connect_pair(g, sigma, sigma_prime, tau, args.work_palette,
                          args.work_palette_prime, L=args.L)
     io.write_trace(args.out_trace, trace)
@@ -253,7 +253,7 @@ def _cmd_connect(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = io.read_graph(args.graph)
-    start = io.read_coloring(args.start)
+    start = io.read_coloring(args.start, n=g.n)
     n, _ = io.read_trace_header(args.trace)
     if n != g.n:
         raise FormatError(args.trace, 1, f"trace n={n} does not match graph n={g.n}")
@@ -289,7 +289,7 @@ def _cmd_oracle(args) -> int:
     if args.certify_trace:
         if not args.start:
             raise InfeasibleError("--start is required with --certify-trace")
-        start = io.read_coloring(args.start)
+        start = io.read_coloring(args.start, n=g.n)
         trace = io.read_trace(args.certify_trace, start)
         if certify_trace(h, trace):
             print("certified")

@@ -6,8 +6,9 @@ Partition file: n lines, line i = class of vertex i.
 Coloring file:  n lines, line i = color of vertex i.
 Trace file:     "n k" then k lines "vertex new_color".
 
-All values decimal, newline-terminated. Writers go through a temp file and
-rename, so a failed run never leaves a partial artifact behind.
+All values decimal, newline-terminated. Writers format CHUNK rows per
+write and go through a temp file and rename, so a failed run never leaves
+a partial artifact behind.
 
 Every reader parses rows through one block reader (``_blocks``) and
 reports the first faulty line of the file as ``FormatError(path, line,
@@ -15,18 +16,27 @@ message)``, whatever the fault: a wrong field count, a non-integer, a
 blank line, a value beyond int64 or out of range, an edge out of order, a
 missing line or trailing content. Files are read as UTF-8; a byte that is
 not UTF-8 makes its field a non-integer at its own line.
+
+``_blocks`` reads CHUNK lines at a time. A block in the plain form that
+the writers produce (every line ``width`` runs of 1 to 18 ASCII digits,
+one space apart, ended by a newline that only the file's last line may
+lack, and no line past the expected count) converts as one numpy array.
+Any other block (a sign, ``+3``, ``1_000``, non-ASCII digits, tabs,
+padding, a blank line, a 19-digit value, trailing content) is parsed again
+line by line with Python ``int()``, so each fault's message comes from that
+one per-line path and the values equal ``int()``'s either way.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .coloring import CHUNK, Coloring, Trace, iter_moves
+from .coloring import CHUNK, Coloring, Trace
 from .errors import FormatError
 from .graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
                      partition_from_class_of)
@@ -45,6 +55,15 @@ def _atomic_write(path: str, line_iter: Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _int_lines(*columns: np.ndarray) -> Iterator[str]:
+    """The rows of equal-length integer ``columns``, values one space
+    apart, as one ``_atomic_write`` line per CHUNK rows."""
+    form = " ".join(["%d"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), CHUNK):
+        block = np.column_stack([c[lo:lo + CHUNK] for c in columns])
+        yield (form * len(block))[:-1] % tuple(block.ravel().tolist())
 
 
 def _open(path: str):
@@ -73,52 +92,88 @@ def _header(path: str, f, names: str) -> tuple[int, int]:
     return a, b
 
 
+def _decimal_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """The (len(lines), width) int64 rows of ``lines`` if each line is
+    ``width`` runs of 1 to 18 ASCII digits, one space apart, ended by a
+    newline (the file's last line may lack it); None otherwise. 18 digits
+    always fit int64, and leading zeros read as ``int()`` reads them."""
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(raw - 48 >= 10)  # every byte that is not a digit
+    if len(ends) != len(lines) * width:
+        return None
+    if not (raw[ends].reshape(-1, width) == np.array([32] * (width - 1) + [10])).all():
+        return None  # each line: width - 1 single spaces, then its newline
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = ends - starts
+    if digits.min() < 1 or digits.max() > 18:
+        return None
+    top = int(digits.max())
+    values = np.zeros(len(ends), np.int64)
+    for k in range(top - 1, -1, -1):  # Horner, right-aligned: "0"s before a short token
+        at = ends - k - 1
+        values = values * 10 + np.where(at >= starts, raw[at], 48) - 48
+    return values.reshape(-1, width)
+
+
 def _blocks(path: str, f, width: int, beyond: Callable[[list[int]], str],
-            count: int | None = None, noun: str = "") -> Iterator[tuple[int, np.ndarray]]:
+            count: int | None = None, noun: str = "", headed: bool = False
+            ) -> Iterator[tuple[int, np.ndarray]]:
     """The rest of ``f`` as (line of the first row, (<=CHUNK, width) int64
-    block) pairs. With ``count``, ``f`` is past its header line and exactly
-    ``count`` lines of ``noun`` rows follow; without it, rows run from line
-    1 to the end of the file and a blank line is a fault. ``beyond(row)``
-    is the message of a row with a value outside int64. A faulty line
-    raises its FormatError once the rows before it are yielded.
+    block) pairs. ``f`` is past its header line when ``headed``, and at
+    line 1 otherwise, where a blank line is a fault of its own. With
+    ``count``, exactly ``count`` lines of ``noun`` rows follow; without
+    it, rows run to the end of the file. ``beyond(row)`` is the message of
+    a row with a value outside int64. A faulty line raises its
+    FormatError once the rows before it are yielded.
+
+    A block in the plain form (``_decimal_rows``) converts as one array;
+    any other block, and one that runs past the ``count`` lines, goes line
+    by line through ``_parse_ints``, which gives every per-line message.
     """
-    line = 1 if count is None else 2
-    end = None if count is None else 2 + count
+    line = 2 if headed else 1
+    end = None if count is None else line + count
     while True:
-        first, flat, error = line, [], None
-        try:
-            for text in islice(f, CHUNK):
-                if line == end:
-                    raise FormatError(path, line, f"trailing content after {noun} list")
-                if end is None and not text.strip():
-                    raise FormatError(path, line, "blank line")
-                flat += _parse_ints(path, line, text, width)
-                line += 1
-            if line - first < CHUNK and end is not None and line < end:
-                raise FormatError(path, line,
-                                  f"expected {count} {noun} lines, file ended early")
-        except FormatError as exc:
-            error = exc
-        try:
-            block = np.array(flat, dtype=np.int64).reshape(-1, width)
-        except OverflowError:
-            i = next(i for i, x in enumerate(flat) if not -2 ** 63 <= x < 2 ** 63) // width
-            error = FormatError(path, first + i, beyond(flat[i * width:(i + 1) * width]))
-            block = np.array(flat[:i * width], dtype=np.int64).reshape(-1, width)
+        texts = list(islice(f, CHUNK))
+        first, error = line, None
+        within = end is None or first + len(texts) <= end
+        block = _decimal_rows(texts, width) if within else None
+        if block is None:
+            flat: list[int] = []
+            try:
+                for text in texts:
+                    if line == end:
+                        raise FormatError(path, line, f"trailing content after {noun} list")
+                    if not headed and not text.strip():
+                        raise FormatError(path, line, "blank line")
+                    flat += _parse_ints(path, line, text, width)
+                    line += 1
+            except FormatError as exc:
+                error = exc
+            try:
+                block = np.array(flat, dtype=np.int64).reshape(-1, width)
+            except OverflowError:
+                i = next(i for i, x in enumerate(flat) if not -2 ** 63 <= x < 2 ** 63) // width
+                error = FormatError(path, first + i, beyond(flat[i * width:(i + 1) * width]))
+                block = np.array(flat[:i * width], dtype=np.int64).reshape(-1, width)
+        else:
+            line += len(texts)
+        if error is None and len(texts) < CHUNK and end is not None and line < end:
+            error = FormatError(path, line, f"expected {count} {noun} lines, file ended early")
         if len(block):
             yield first, block
         if error is not None:
             raise error
-        if line - first < CHUNK:
+        if len(texts) < CHUNK:
             return
 
 
 def write_graph(path: str, g: Graph) -> None:
-    def lines():
-        yield f"{g.n} {g.m}"
-        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-            yield f"{u} {v}"
-    _atomic_write(path, lines())
+    _atomic_write(path, chain([f"{g.n} {g.m}"], _int_lines(g.edge_u, g.edge_v)))
 
 
 def read_graph(path: str) -> Graph:
@@ -136,7 +191,7 @@ def read_graph(path: str) -> Graph:
             if 0 <= u < v < n:
                 return "edges not in ascending lexicographic order"
             return f"edge ({u}, {v}) violates 0 <= u < v < n"
-        for line, block in _blocks(path, f, 2, fault, m, "edge"):
+        for line, block in _blocks(path, f, 2, fault, m, "edge", headed=True):
             u, v = block[:, 0], block[:, 1]
             code = u * n + v  # may wrap only on a row the range check rejects
             bad = (u < 0) | (u >= v) | (v >= n) | (np.diff(code, prepend=prev) <= 0)
@@ -149,40 +204,49 @@ def read_graph(path: str) -> Graph:
 
 
 def write_partition(path: str, part: Partition) -> None:
-    _atomic_write(path, (str(c) for c in part.class_of.tolist()))
+    _atomic_write(path, _int_lines(part.class_of))
 
 
-def read_partition(path: str, q: int | None = None) -> Partition:
-    return partition_from_class_of(_read_int_column(path, "negative class index"), q)
+def read_partition(path: str, q: int | None = None, n: int | None = None) -> Partition:
+    """The partition of a class index file; with ``n``, the file must have
+    exactly ``n`` lines. Class indices are int32, as ``Partition`` stores
+    them."""
+    return partition_from_class_of(
+        _read_int_column(path, "class index", np.iinfo(np.int32).max, n), q)
 
 
 def write_coloring(path: str, c: Coloring) -> None:
-    _atomic_write(path, (str(x) for x in c.colors.tolist()))
+    _atomic_write(path, _int_lines(c.colors))
 
 
-def read_coloring(path: str, palette_hint: int = -1) -> Coloring:
-    return Coloring(_read_int_column(path, "negative color"), palette_hint)
+def read_coloring(path: str, palette_hint: int = -1, n: int | None = None) -> Coloring:
+    """The coloring of a color file; with ``n``, the file must have exactly
+    ``n`` lines."""
+    return Coloring(_read_int_column(path, "color", np.iinfo(np.int64).max, n), palette_hint)
 
 
-def _read_int_column(path: str, negative: str) -> np.ndarray:
-    """The values of a one-integer-per-line file; ``negative`` is the
-    message of a negative value."""
+def _read_int_column(path: str, noun: str, top: int, count: int | None) -> np.ndarray:
+    """The values of a one-integer-per-line file of ``count`` lines, or of
+    any length without ``count``; each must lie in [0, top]."""
     values: list[np.ndarray] = []
     with _open(path) as f:
         for line, block in _blocks(path, f, 1,
-                                   lambda row: f"value {row[0]} outside the int64 range"):
-            if (block < 0).any():
-                raise FormatError(path, line + int(np.argmax(block < 0)), negative)
+                                   lambda row: f"value {row[0]} outside the int64 range",
+                                   count, noun):
+            bad = (block < 0) | (block > top)
+            if bad.any():
+                i = int(np.argmax(bad))
+                value = int(block[i, 0])
+                raise FormatError(path, line + i, f"negative {noun}" if value < 0
+                                  else f"{noun} {value} exceeds {top}")
             values.append(block[:, 0])
     return np.concatenate(values) if values else np.empty(0, np.int64)
 
 
 def write_trace(path: str, trace: Trace) -> None:
-    def lines():
-        yield f"{trace.start.n} {len(trace.moves)}"
-        for v, c in iter_moves(trace.moves):
-            yield f"{v} {c}"
-    _atomic_write(path, lines())
+    moves = trace.moves
+    _atomic_write(path, chain([f"{trace.start.n} {len(moves)}"],
+                              _int_lines(moves[:, 0], moves[:, 1])))
 
 
 def read_trace_header(path: str) -> tuple[int, int]:
@@ -202,7 +266,7 @@ def iter_trace_moves(path: str) -> Iterator[np.ndarray]:
             if not 0 <= v < n:
                 return f"vertex {v} out of range"
             return "negative color" if c < 0 else f"color {c} outside the int64 range"
-        for line, block in _blocks(path, f, 2, fault, k, "move"):
+        for line, block in _blocks(path, f, 2, fault, k, "move", headed=True):
             v, c = block[:, 0], block[:, 1]
             bad = (v < 0) | (v >= n) | (c < 0)
             if bad.any():

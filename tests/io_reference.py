@@ -1,12 +1,18 @@
-"""Per-line references for the readers of ``colorwalk.io``.
+"""Per-line references for the readers and writers of ``colorwalk.io``.
 
 These are the readers the library used before its one block reader:
 each file is parsed one line at a time, with its own loop and its own
 checks. They are kept, verbatim, as the oracle the block readers are
 checked against (``test_io_reference``); they are not imported by the
-package. Their one known difference: a coloring or partition file
-reports its smallest negative value and lets a parse fault anywhere beat
-a value beyond int64, where the library reports the first faulty line.
+package. Their known differences: a coloring or partition file reports
+its smallest negative value and lets a parse fault anywhere beat a value
+beyond int64, where the library reports the first faulty line; and the
+library rejects a class index beyond int32 at its line, which
+``partition_from_class_of`` rejects here without one.
+
+The writers are the ones the library used before it formatted a block of
+rows per write: one f-string per line. The block writers must write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
-from colorwalk.coloring import Coloring, Move, Trace
+from colorwalk.coloring import Coloring, Move, Trace, iter_moves
 from colorwalk.errors import FormatError
+from colorwalk.io import _atomic_write
 from colorwalk.graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
                               partition_from_class_of)
 
@@ -130,3 +137,27 @@ def read_trace(path: str, start: Coloring) -> Trace:
     if start.n != n:
         raise FormatError(path, 1, f"trace n={n} does not match start coloring n={start.n}")
     return Trace(start=start, moves=list(iter_trace_moves(path)))
+
+
+def write_graph(path: str, g: Graph) -> None:
+    def lines():
+        yield f"{g.n} {g.m}"
+        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+            yield f"{u} {v}"
+    _atomic_write(path, lines())
+
+
+def write_partition(path: str, part: Partition) -> None:
+    _atomic_write(path, (str(c) for c in part.class_of.tolist()))
+
+
+def write_coloring(path: str, c: Coloring) -> None:
+    _atomic_write(path, (str(x) for x in c.colors.tolist()))
+
+
+def write_trace(path: str, trace: Trace) -> None:
+    def lines():
+        yield f"{trace.start.n} {len(trace.moves)}"
+        for v, c in iter_moves(trace.moves):
+            yield f"{v} {c}"
+    _atomic_write(path, lines())

@@ -352,6 +352,53 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {tmp_path / 'p.txt'}:2: value -{HUGE} outside the int64 range"]
 
+    def test_partition_class_beyond_int32_exits_two(self, tmp_path, capsys):
+        # 4294967297 = 2**32 + 1 would wrap to class 1 as an int32
+        (tmp_path / "g.txt").write_text("2 0\n")
+        (tmp_path / "p.txt").write_text("0\n4294967297\n")
+        code = main(["recolor", "--graph", str(tmp_path / "g.txt"),
+                     "--partition", str(tmp_path / "p.txt"),
+                     "--out-trace", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'p.txt'}:2: class index 4294967297 exceeds 2147483647"]
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("command, text, line, message", [
+        ("verify", "0\n1\n", 3, "expected 3 color lines, file ended early"),
+        ("verify", "0\n1\n0\n1\n", 4, "trailing content after color list"),
+        ("certify", "0\n1\n", 3, "expected 3 color lines, file ended early"),
+        ("transform", "0\n1\n", 3, "expected 3 color lines, file ended early"),
+        ("connect", "0\n1\n0\n1\n", 4, "trailing content after color list"),
+        ("recolor", "0\n1\n", 3, "expected 3 class index lines, file ended early"),
+        ("recolor", "", 1, "expected 3 class index lines, file ended early"),
+        ("recolor", "0\n1\n0\n1\n", 4, "trailing content after class index list"),
+        ("params", "0\n1\n0\n1\n", 4, "trailing content after class index list"),
+    ], ids=["verify-short", "verify-long", "certify-short", "transform-short",
+            "connect-long", "recolor-short", "recolor-empty", "recolor-long", "params-long"])
+    def test_column_file_length_names_file_and_line(self, tmp_path, capsys, command, text,
+                                                     line, message):
+        (tmp_path / "g.txt").write_text("3 2\n0 1\n1 2\n")
+        (tmp_path / "c.txt").write_text("0\n1\n0\n")
+        (tmp_path / "t.txt").write_text("3 0\n")
+        (tmp_path / "bad.txt").write_text(text)
+        g, c, bad = (str(tmp_path / name) for name in ("g.txt", "c.txt", "bad.txt"))
+        args = {
+            "verify": ["verify", "--graph", g, "--start", bad, "--trace", tmp_path / "t.txt"],
+            "certify": ["oracle", "--graph", g, "--q", "3", "--start", bad,
+                        "--certify-trace", tmp_path / "t.txt"],
+            "transform": ["transform", "--graph", g, "--sigma", bad, "--tau", c,
+                          "--work-palette", "2,3", "--out-trace", tmp_path / "out.txt"],
+            "connect": ["connect", "--graph", g, "--sigma", c, "--sigma-prime", c,
+                        "--tau", bad, "--work-palette", "2,3",
+                        "--out-trace", tmp_path / "out.txt"],
+            "recolor": ["recolor", "--graph", g, "--partition", bad,
+                        "--out-trace", tmp_path / "out.txt"],
+            "params": ["params", "--n", "3", "--m", "2", "--q", "2", "--partition", bad],
+        }[command]
+        assert main([str(a) for a in args]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
+
     def test_startup_does_not_import_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -109,6 +109,39 @@ class TestColumnFiles:
             read(str(path))
         assert str(exc.value) == f"{path}:{line}: {message.format(what=what)}"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("0\n1\n", 3, "expected 3 {what} lines, file ended early"),
+        ("", 1, "expected 3 {what} lines, file ended early"),
+        ("0\n1\n0\n1\n", 4, "trailing content after {what} list"),
+        ("0\n1\n0\nx\n", 4, "trailing content after {what} list"),
+        ("0\n-1\n0\n1\n", 2, "negative {what}"),
+        ("0\n1\n0\n\n", 4, "trailing content after {what} list"),
+        ("0\n\n1\n", 2, "blank line"),
+    ], ids=["short", "empty", "long", "long-then-parse", "negative-then-long",
+            "trailing-blank", "blank"])
+    @pytest.mark.parametrize("read, what", [(cwio.read_partition, "class index"),
+                                            (cwio.read_coloring, "color")],
+                             ids=["partition", "coloring"])
+    def test_expected_length(self, tmp_path, monkeypatch, read, what, text, line, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        for chunk in (1, 2, None):
+            if chunk is not None:
+                monkeypatch.setattr(cwio, "CHUNK", chunk)
+            with pytest.raises(FormatError) as exc:
+                read(str(path), n=3)
+            assert str(exc.value) == f"{path}:{line}: {message.format(what=what)}"
+        path.write_text("0\n1\n0")  # no final newline
+        got = read(str(path), n=3)
+        assert (got.colors if what == "color" else got.class_of).tolist() == [0, 1, 0]
+
+    def test_class_index_beyond_int32(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0\n2147483647\n4294967297\n")
+        with pytest.raises(FormatError) as exc:
+            cwio.read_partition(str(path))
+        assert str(exc.value) == f"{path}:3: class index 4294967297 exceeds 2147483647"
+
 
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):

@@ -13,8 +13,11 @@ parent, run the script once with each version's ``src`` on ``PYTHONPATH``
 and diff the two ``DIR/manifest.txt`` files.
 
 The grid covers every subcommand (gen, params, recolor, transform,
-connect, verify, oracle and the four experiments), and one malformed file
-per reader and fault kind. The manifest has one block per command (its
+connect, verify, oracle and the four experiments), one malformed file
+per reader and fault kind, and files in the plain one-space form up to an
+unusual spot: a 19-digit value, no final newline, a bad line after more
+than one block of lines, a class index beyond int32, and column files
+shorter or longer than the graph. The manifest has one block per command (its
 arguments, exit code, stdout and stderr), then the sha256 of every file
 in DIR.
 """
@@ -28,6 +31,8 @@ import sys
 from pathlib import Path
 
 HUGE = "100000000000000000000000"  # beyond int64
+DIGITS19 = "1000000000000000000"  # one digit past the longest plain token
+LONG = 70_000  # moves, more than one block of CHUNK = 65,536 lines
 
 # small valid files the malformed ones are read against
 FIXTURES = {
@@ -62,6 +67,8 @@ MALFORMED = [
     ("two-faults", "graph", "3 2\n1 0\n0 x\n"),
     ("non-utf8", "graph", b"3 2\n0 1\n1 \xff\n"),
     ("tokens", "graph", "+3 \t2\r\n0 0_1\n ١ 2 \n"),
+    ("19-digit", "graph", f"3 2\n0 1\n1 {DIGITS19}\n"),
+    ("no-final-newline", "graph", "3 2\n0 1\n1 2"),
     ("fields", "coloring", "0\n1 1\n0\n"),
     ("nonint", "coloring", "0\n1.5\n0\n"),
     ("blank", "coloring", "0\n\n1\n0\n"),
@@ -71,6 +78,9 @@ MALFORMED = [
     ("negative-then-nonint", "coloring", "0\n-1\nx\n"),
     ("int64-then-nonint", "coloring", f"0\n{HUGE}\nx\n"),
     ("short", "coloring", "0\n1\n"),
+    ("empty", "coloring", ""),
+    ("long", "coloring", "0\n1\n0\n1\n"),
+    ("no-final-newline", "coloring", "0\n1\n0"),
     ("non-utf8", "coloring", b"0\n\xff\n0\n"),
     ("tokens", "coloring", "+0\r\n 0_1\n\t٠\n"),
     ("fields", "partition", "0\n1 1\n0\n"),
@@ -81,6 +91,10 @@ MALFORMED = [
     ("two-negatives", "partition", "0\n-1\n-5\n"),
     ("negative-then-nonint", "partition", "0\n-1\nx\n"),
     ("non-utf8", "partition", b"0\n\xff\n0\n"),
+    ("int32", "partition", "0\n4294967297\n0\n"),
+    ("short", "partition", "0\n1\n"),
+    ("empty", "partition", ""),
+    ("long", "partition", "0\n1\n0\n1\n"),
     ("empty", "trace", ""),
     ("header-negative", "trace", "3 -1\n"),
     ("header-other-n", "trace", "5 1\n0 2\n"),
@@ -97,6 +111,8 @@ MALFORMED = [
     ("nonint-then-step", "trace", "3 3\n0 2\nx 1\n0 1\n"),
     ("non-utf8", "trace", b"3 2\n0 2\n2 \xff\n"),
     ("tokens", "trace", "3 2\r\n+0\t2\n ٢ 0_2 \n"),
+    ("19-digit", "trace", f"3 2\n0 2\n2 {DIGITS19}\n"),
+    ("long-then-nonint", "trace", f"3 {LONG + 1}\n" + "0 2\n0 0\n" * (LONG // 2) + "0 x\n"),
 ]
 
 
@@ -117,6 +133,11 @@ def reader_commands(name: str, reader: str, path: str) -> list[tuple[str, list[s
                                             "--certify-trace", path, "--start", "path_c.txt"]))
     if reader == "graph":
         commands.append((f"oracle-{tag}", ["oracle", "--graph", path, "--q", "3"]))
+    if reader == "coloring":
+        commands.append((f"transform-{tag}", ["transform", "--graph", "path.txt",
+                                              "--sigma", path, "--tau", "path_c.txt",
+                                              "--work-palette", "2,3",
+                                              "--out-trace", f"out-{tag}.txt"]))
     return commands
 
 
