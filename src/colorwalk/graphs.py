@@ -9,6 +9,7 @@ scales the recoloring runs need (n up to a few 10^5, m in the millions).
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .errors import InfeasibleError
 from .rng import make_rng
 
 PARTITION_RESAMPLE_CAP = 1000
+MAX_ID = 2**31 - 1  # vertex ids and class indices are int32
 
 
 def _comb2(k: int) -> int:
@@ -34,9 +36,11 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _check_n(n: int) -> None:
     # _comb2 of a negative n is positive, so without this the generators
-    # fail deep inside numpy
+    # fail deep inside numpy; past MAX_ID they would allocate before failing
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n > MAX_ID:
+        raise ValueError(f"n={n} exceeds the int32 vertex id range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +80,13 @@ def build_graph(n: int, edges) -> Graph:
 
     Rejects self-loops, duplicate edges and out-of-range endpoints.
     """
+    _check_n(n)
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be pairs")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if arr.shape[0] > 0:
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("edge endpoint out of range")
@@ -132,68 +135,52 @@ def _graph_from_sorted_codes(n: int, codes: np.ndarray,
 _GEN_CHUNK = 6_000_000
 
 
-def _decode_tri(n: int, codes: np.ndarray, ub: np.ndarray, vb: np.ndarray) -> None:
-    """Decode triangular pair codes into endpoints, in place.
+def _tri_block(n: int, k: int) -> int:
+    """The block of triangular code k: the largest u with u*(2n-1-u)/2 <= k.
+    With s = isqrt((2n-1)**2 - 8k) the real root lies in
+    ((2n-2-s)/2, (2n-1-s)/2], so (2n-1-s)//2 is u or u + 1."""
+    b = 2 * n - 1
+    u = (b - math.isqrt(b * b - 8 * k)) // 2
+    return u - 1 if u * (b - u) // 2 > k else u
+
+
+def _decode_sorted_tri(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v) of ascending triangular pair codes, exactly.
 
     Code k enumerates the pairs (u, v), u < v, in ascending lexicographic
-    order; block u starts at offset(u) = u*(2n-1-u)/2. The float estimate of
-    u is repaired by integer correction sweeps, so the decode is exact.
+    order; block u starts at offset u*(2n-1-u)/2. Only the blocks from the
+    first code's to the last code's get an offset.
     """
-    c = codes.shape[0]
-    if c == 0:
-        return
-    f = np.multiply(codes, -8.0)
-    np.add(f, float(2 * n - 1) ** 2, out=f)
-    np.sqrt(f, out=f)
-    np.subtract(float(2 * n - 1), f, out=f)
-    np.multiply(f, 0.5, out=f)
-    np.copyto(ub, f, casting="unsafe")
-    np.clip(ub, 0, max(n - 2, 0), out=ub)
-    off = np.empty(c, np.int64)
-    mask = np.empty(c, bool)
-
-    def offsets_of(src: np.ndarray) -> None:
-        np.subtract(2 * n - 1, src, out=off)
-        np.multiply(off, src, out=off)
-        np.floor_divide(off, 2, out=off)
-
-    for _ in range(2):  # float error is below one, two sweeps are plenty
-        offsets_of(ub)
-        np.greater(off, codes, out=mask)
-        np.subtract(ub, mask, out=ub)
-    t = np.empty(c, np.int64)
-    for _ in range(2):
-        np.add(ub, 1, out=t)
-        offsets_of(t)
-        np.less_equal(off, codes, out=mask)
-        np.add(ub, mask, out=ub)
-    offsets_of(ub)
-    np.subtract(codes, off, out=vb)
-    np.add(vb, ub, out=vb)
-    np.add(vb, 1, out=vb)
+    if codes.shape[0] == 0:
+        return codes[:0], codes[:0]
+    u = np.arange(_tri_block(n, int(codes[0])), _tri_block(n, int(codes[-1])) + 1)
+    off = u * (2 * n - 1 - u) // 2
+    counts = np.diff(np.searchsorted(codes, off), append=codes.shape[0])
+    vb = np.repeat(off - u - 1, counts)
+    np.subtract(codes, vb, out=vb)
+    return np.repeat(u, counts), vb
 
 
 def _draw_tri_codes(rng, n: int, count: int, class_of: np.ndarray | None) -> np.ndarray:
-    """``count`` uniform triangular pair codes, filtered to cross-class pairs
-    when class_of is given."""
+    """``count`` uniform triangular pair codes, sorted, filtered to
+    cross-class pairs when class_of is given."""
     allpairs = _comb2(n)
-    parts: list[np.ndarray] = []
-    remaining = count
-    while remaining > 0:
-        c = min(remaining, _GEN_CHUNK)
-        remaining -= c
-        f = rng.random(c)
+    codes = np.empty(count, np.int64)
+    for lo in range(0, count, _GEN_CHUNK):
+        f = rng.random(min(_GEN_CHUNK, count - lo))
         np.multiply(f, allpairs, out=f)
-        codes = f.astype(np.int64)
-        del f  # freed before the decode below allocates its own chunk arrays
-        if class_of is None:
-            parts.append(codes)
-            continue
-        ub = np.empty(c, np.int64)
-        vb = np.empty(c, np.int64)
-        _decode_tri(n, codes, ub, vb)
-        parts.append(codes[class_of[ub] != class_of[vb]])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        codes[lo:lo + f.shape[0]] = f
+    codes.sort()
+    if class_of is None:
+        return codes
+    kept = 0  # the filter keeps a subsequence, so it compacts in place
+    for lo in range(0, count, _GEN_CHUNK):
+        chunk = codes[lo:lo + _GEN_CHUNK]
+        ub, vb = _decode_sorted_tri(n, chunk)
+        cross = chunk[class_of[ub] != class_of[vb]]
+        codes[kept:kept + cross.shape[0]] = cross
+        kept += cross.shape[0]
+    return codes[:kept]
 
 
 def _dedupe_sorted(codes: np.ndarray) -> np.ndarray:
@@ -240,9 +227,7 @@ def _sample_distinct_tri(rng, n: int, m: int, total: int,
         # expected acceptance = (valid fraction) * (fraction not yet chosen)
         frac = max((total / allpairs) * (1 - have / total), 1e-3)
         want = min(int(need / frac * 1.03) + 16, 6 * total + 64, 60_000_000)
-        codes = _draw_tri_codes(rng, n, want, class_of)
-        codes.sort()
-        codes = _dedupe_sorted(codes)
+        codes = _dedupe_sorted(_draw_tri_codes(rng, n, want, class_of))
         if merged is not None and merged.shape[0]:
             pos = np.searchsorted(merged, codes)
             pos[pos == merged.shape[0]] = merged.shape[0] - 1
@@ -259,14 +244,7 @@ def _sample_distinct_tri(rng, n: int, m: int, total: int,
 
 
 def _graph_from_tri_codes(n: int, tri_sorted: np.ndarray) -> Graph:
-    m = int(tri_sorted.shape[0])
-    if m == 0:
-        return _graph_from_sorted_codes(n, np.zeros(0, dtype=np.int64))
-    ub = np.empty(m, np.int64)
-    vb = np.empty(m, np.int64)
-    for lo in range(0, m, _GEN_CHUNK):  # chunked so decode temporaries stay small
-        hi = min(lo + _GEN_CHUNK, m)
-        _decode_tri(n, tri_sorted[lo:hi], ub[lo:hi], vb[lo:hi])
+    ub, vb = _decode_sorted_tri(n, tri_sorted)
     codes = ub * n
     codes += vb
     return _graph_from_sorted_codes(n, codes, ub, vb)
@@ -321,7 +299,11 @@ class Partition:
 
 
 def partition_from_class_of(class_of, q: int | None = None) -> Partition:
-    arr = np.asarray(class_of, dtype=np.int32)
+    arr = np.asarray(class_of)
+    if (not np.can_cast(arr.dtype, np.int32) and arr.size
+            and (arr.min() < -MAX_ID - 1 or arr.max() > MAX_ID)):
+        raise ValueError("class index beyond the int32 range")  # the cast would wrap it
+    arr = arr.astype(np.int32, copy=False)
     if q is None:
         q = int(arr.max()) + 1 if arr.size else 0
     if q < 1:

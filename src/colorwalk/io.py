@@ -38,7 +38,7 @@ import numpy as np
 
 from .coloring import CHUNK, Coloring, Trace
 from .errors import FormatError
-from .graphs import (Graph, Partition, _comb2, _graph_from_sorted_codes,
+from .graphs import (MAX_ID, Graph, Partition, _comb2, _graph_from_sorted_codes,
                      partition_from_class_of)
 
 
@@ -181,7 +181,7 @@ def read_graph(path: str) -> Graph:
     prev = -1
     with _open(path) as f:
         n, m = _header(path, f, "n or m")
-        if n > 2 ** 31 - 1:  # Graph stores vertex ids as int32
+        if n > MAX_ID:
             raise FormatError(path, 1, f"n={n} exceeds the int32 vertex id range")
         if m > _comb2(n):
             raise FormatError(path, 1, f"m={m} exceeds the {_comb2(n)} vertex pairs of n={n}")
@@ -212,7 +212,7 @@ def read_partition(path: str, q: int | None = None, n: int | None = None) -> Par
     exactly ``n`` lines. Class indices are int32, as ``Partition`` stores
     them."""
     return partition_from_class_of(
-        _read_int_column(path, "class index", np.iinfo(np.int32).max, n), q)
+        _read_int_column(path, "class index", MAX_ID, n), q)
 
 
 def write_coloring(path: str, c: Coloring) -> None:

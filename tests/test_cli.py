@@ -416,6 +416,16 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == "error: n must be nonnegative, got -5\n"
         assert not out.exists()
 
+    def test_gen_oversize_n_exits_two(self, tmp_path, capsys):
+        # rejected before any n-sized array is allocated, not a MemoryError
+        out = tmp_path / "g.txt"
+        code = main(["gen", "gnm", "--n", "2147483648", "--m", "1", "--seed", "1",
+                     "--out-graph", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: n=2147483648 exceeds the int32 vertex id range\n"
+        assert not out.exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",
                      "--seed", "1", "--out-graph", str(tmp_path / "g.txt")])

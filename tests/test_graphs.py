@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +13,9 @@ from colorwalk import (InfeasibleError, balanced_partition, build_graph,
                        gen_planted_m, gen_planted_p, greedy_mis,
                        gen_planted, induced_subgraph,
                        partition_from_class_of, random_partition)
+from colorwalk import graphs
 from colorwalk.graphs import min_internal_pairs
+from gen_reference import reference_decode_tri
 
 
 def comb2(k):
@@ -52,6 +56,27 @@ class TestBuildGraph:
     def test_empty(self):
         g = build_graph(0, [])
         assert g.n == 0 and g.m == 0
+
+
+class TestOversizeN:
+    """n past the int32 vertex ids is rejected before any array exists."""
+
+    @pytest.mark.parametrize("make", [
+        lambda n: build_graph(n, []),
+        lambda n: gen_gnm(n, 1, seed=1),
+        lambda n: gen_gnp(n, 0.0, seed=1),
+        lambda n: gen_planted(n, 3, 1, seed=1),
+        lambda n: balanced_partition(n, 3, seed=1),
+    ])
+    def test_rejected_without_allocating(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^n=2147483648 exceeds the int32 vertex id range$"):
+                make(2**31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGnm:
@@ -171,6 +196,19 @@ class TestRandomPartition:
         a = random_partition(50, 4, 100, seed=9)
         b = random_partition(50, 4, 100, seed=9)
         assert np.array_equal(a.class_of, b.class_of)
+
+
+class TestPartitionFromClassOf:
+    @pytest.mark.parametrize("value", [2**31, 2**32 + 1, -2**31 - 1, -2**32])
+    def test_rejects_index_beyond_int32(self, value):
+        # the int32 cast would wrap 2**32 + 1 to 1 and -2**32 to 0; q is
+        # given, so a wrapped value cannot make a class loop to 2**31
+        with pytest.raises(ValueError, match="^class index beyond the int32 range$"):
+            partition_from_class_of(np.array([0, value]), q=2)
+
+    def test_int32_class_of(self):
+        part = partition_from_class_of(np.array([0, 2, 1, 2], dtype=np.int64))
+        assert part.class_of.dtype == np.int32 and part.class_sizes == [1, 1, 2]
 
 
 class TestPlanted:
@@ -381,3 +419,144 @@ class TestConcurrentGeneration:
 
     def test_gen_gnm_threaded_equals_serial(self):
         self.check(lambda seed: self.arrays(gen_gnm(20_000, 100_000, seed)))
+
+
+def tri_offset(n, u):
+    """First triangular code of block u."""
+    return u * (2 * n - 1 - u) // 2
+
+
+# the float reference decodes exactly up to this n (see gen_reference)
+FLOAT_DECODE_EXACT_N = 10**8
+
+
+@st.composite
+def sorted_code_sets(draw):
+    """(n, ascending distinct triangular codes) with n from 2 up to 2**31-1.
+
+    The codes lie in a window of at most 1000 blocks, at the start, the end
+    or anywhere in the code range, and are biased to block starts, block
+    ends and the window's last code (C(n,2)-1 for a window at the end).
+    The decode makes offsets for the blocks its codes span, so the window
+    keeps every array small at any n."""
+    n = draw(st.one_of(st.integers(2, 3), st.integers(2, 300),
+                       st.integers(2, FLOAT_DECODE_EXACT_N),
+                       st.integers(2**31 - 64, 2**31 - 1)))
+    width = min(n - 1, 1000)
+    first = draw(st.one_of(st.just(0), st.just(n - 1 - width),
+                           st.integers(0, n - 1 - width)))
+    lo, hi = tri_offset(n, first), tri_offset(n, first + width)
+    block = st.integers(first, first + width - 1)
+    code = st.one_of(st.integers(lo, hi - 1),
+                     block.map(lambda u: tri_offset(n, u)),
+                     block.map(lambda u: tri_offset(n, u + 1) - 1),
+                     st.just(hi - 1))
+    codes = draw(st.lists(code, max_size=40, unique=True))
+    return n, np.array(sorted(codes), dtype=np.int64)
+
+
+class TestDecodeSortedTri:
+    """``graphs._decode_sorted_tri`` against the float decode it replaced
+    (``gen_reference``) and against re-encoding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_code_sets())
+    def test_matches_reference_and_reencodes(self, case):
+        n, codes = case
+        ub, vb = graphs._decode_sorted_tri(n, codes)
+        assert ub.dtype == vb.dtype == np.int64
+        assert np.all((0 <= ub) & (ub < vb) & (vb < n))
+        assert np.array_equal(tri_offset(n, ub) + vb - ub - 1, codes)
+        if n <= FLOAT_DECODE_EXACT_N:
+            want_u, want_v = np.empty_like(codes), np.empty_like(codes)
+            reference_decode_tri(n, codes, want_u, want_v)
+            assert np.array_equal(ub, want_u) and np.array_equal(vb, want_v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64])
+    def test_every_code_in_lexicographic_order(self, n):
+        ub, vb = graphs._decode_sorted_tri(n, np.arange(comb2(n), dtype=np.int64))
+        want_u, want_v = np.triu_indices(n, 1)
+        assert np.array_equal(ub, want_u) and np.array_equal(vb, want_v)
+
+    def test_first_and_last_codes_near_int32_limit(self):
+        n = 2**31 - 1
+        ub, vb = graphs._decode_sorted_tri(n, np.array([0, n - 2, n - 1], dtype=np.int64))
+        assert ub.tolist() == [0, 0, 1] and vb.tolist() == [1, n - 1, 2]
+        last = np.array([comb2(n) - 3, comb2(n) - 2, comb2(n) - 1], dtype=np.int64)
+        ub, vb = graphs._decode_sorted_tri(n, last)
+        assert ub.tolist() == [n - 3, n - 3, n - 2] and vb.tolist() == [n - 2, n - 1, n - 1]
+
+
+def digest(g):
+    """sha256 over the dtype and bytes of each array of ``g``."""
+    h = hashlib.sha256()
+    for a in (g.edge_u, g.edge_v, g.indptr, g.nbrs):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+# one generator call per case, each on its own seed
+GEN_CASES = {
+    "gnm-n2": lambda: gen_gnm(2, 1, 1),
+    "gnm-k3": lambda: gen_gnm(3, 3, 2),
+    "gnm-k30": lambda: gen_gnm(30, 435, 3),  # complete: a second rejection batch
+    "gnm-sparse": lambda: gen_gnm(1000, 3000, 4),
+    "gnm-20k": lambda: gen_gnm(20_000, 100_000, 5),
+    "gnp-n2": lambda: gen_gnp(2, 1.0, 6),
+    "gnp-dense": lambda: gen_gnp(60, 0.5, 7),
+    "gnp-sparse": lambda: gen_gnp(5000, 0.002, 8),
+    "planted-m-n2": lambda: gen_planted(2, 2, 1, 9).graph,
+    "planted-m-q-is-n": lambda: gen_planted(8, 8, 20, 10).graph,
+    "planted-m": lambda: gen_planted(3000, 7, 12_000, 11).graph,
+    "planted-p": lambda: gen_planted(3000, 7, 12_000, 12, model="p").graph,
+    "planted-p-q-is-n": lambda: gen_planted(8, 8, 20, 13, model="p").graph,
+    "planted_m-bipartite": lambda: gen_planted_m(
+        partition_from_class_of([0, 0, 1, 1]), 4, 14).graph,
+    "planted_m-balanced": lambda: gen_planted_m(
+        balanced_partition(2000, 9, 15), 8000, 16).graph,
+    "planted_p-balanced": lambda: gen_planted_p(
+        balanced_partition(2000, 9, 17), 0.01, 18).graph,
+}
+
+# several _GEN_CHUNK slices per rejection batch
+CHUNKED_CASES = {
+    "gnm-chunked": lambda: gen_gnm(2000, 30_000, 19),
+    "planted-m-chunked": lambda: gen_planted(2000, 5, 20_000, 20).graph,
+}
+
+PINNED_DIGESTS = {  # computed with the float decode the generators used before
+    "gnm-n2": "eca64666081b9464",
+    "gnm-k3": "0b02229d4deb39eb",
+    "gnm-k30": "1b6a4cdd5db7da8b",
+    "gnm-sparse": "b0a7a52f8090267c",
+    "gnm-20k": "5d7a925abcdde87d",
+    "gnp-n2": "eca64666081b9464",
+    "gnp-dense": "86d7043b0593d22c",
+    "gnp-sparse": "ded5b971aa93258d",
+    "planted-m-n2": "eca64666081b9464",
+    "planted-m-q-is-n": "cd5fe183652fda21",
+    "planted-m": "321136a0930ad95f",
+    "planted-p": "54207ce9331bf6a7",
+    "planted-p-q-is-n": "97edfe227b39d0c9",
+    "planted_m-bipartite": "80ba22191ae696bc",
+    "planted_m-balanced": "adda4b9b14fe3ff1",
+    "planted_p-balanced": "1f5bc2173d3bdbef",
+    "gnm-chunked": "f93850f8ef4b163e",
+    "planted-m-chunked": "f90a9ad8ea934216",
+}
+
+
+class TestPinnedDigests:
+    """The generators' arrays, pinned by hash: a change to the sampling or
+    decoding code that alters any generated graph fails here."""
+
+    @pytest.mark.parametrize("name", sorted(GEN_CASES))
+    def test_generator_digest(self, name):
+        assert digest(GEN_CASES[name]()) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
+    def test_chunked_draw_digest(self, name, monkeypatch):
+        whole = digest(CHUNKED_CASES[name]())
+        monkeypatch.setattr(graphs, "_GEN_CHUNK", 1000)
+        assert digest(CHUNKED_CASES[name]()) == whole == PINNED_DIGESTS[name]

@@ -13,7 +13,9 @@ parent, run the script once with each version's ``src`` on ``PYTHONPATH``
 and diff the two ``DIR/manifest.txt`` files.
 
 The grid covers every subcommand (gen, params, recolor, transform,
-connect, verify, oracle and the four experiments), one malformed file
+connect, verify, oracle and the four experiments), the generators at the
+edges of their pair decode (n = 2, a complete graph, one vertex per
+planted class, an n beyond int32), one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
 than one block of lines, a class index beyond int32, and column files
@@ -159,6 +161,15 @@ def pipeline(work: Path) -> list:
         ("gen-planted-p", ["gen", "planted", *planted, "--seed", "4", "--planted-model", "p",
                            "--out-graph", "gp.txt", "--out-partition", "pp.txt",
                            "--out-coloring", "cp.txt"]),
+        ("gen-gnm-n2", ["gen", "gnm", "--n", "2", "--m", "1", "--seed", "5",
+                        "--out-graph", "gnm_n2.txt"]),
+        ("gen-gnm-complete", ["gen", "gnm", "--n", "3", "--m", "3", "--seed", "6",
+                              "--out-graph", "gnm_k3.txt"]),
+        ("gen-planted-q-is-n", ["gen", "planted", "--n", "8", "--q", "8", "--m", "20",
+                                "--seed", "7", "--out-graph", "g_qn.txt",
+                                "--out-partition", "p_qn.txt", "--out-coloring", "c_qn.txt"]),
+        ("gen-n-beyond-int32", ["gen", "gnm", "--n", "2147483648", "--m", "1", "--seed", "8",
+                                "--out-graph", "gnm_huge.txt"]),
         lambda: (shifted(work / "c.txt", work / "tau.txt", 1, 5),
                  shifted(work / "c.txt", work / "c2.txt", 2, 5)),
         ("params", ["params", *planted]),
