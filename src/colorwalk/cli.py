@@ -17,7 +17,7 @@ from .coloring import Trace, colors_used, verify_trace
 from .errors import (CapError, ColorwalkError, FormatError, FreshColorError,
                      InfeasibleError, PaletteError)
 from .experiments import EXPERIMENTS, ExperimentConfig
-from .graphs import (GenParams, PlantedInstance, gen_gnm, gen_gnp,
+from .graphs import (GenParams, PlantedInstance, _check_n, gen_gnm, gen_gnp,
                      gen_planted, partition_from_class_of)
 from .greedy import derive_params, run_greedy_recolor
 from .oracle import certify_trace, enumerate_hq, giant_fraction, sample_uniform_coloring
@@ -153,6 +153,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    _check_n(args.n)
     m = _resolve_m(args)
     if args.partition:
         part = io.read_partition(args.partition, args.q, n=args.n)

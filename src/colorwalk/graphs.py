@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,11 +277,11 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint classes covering [n]; class_of maps vertex -> class index."""
+    """Disjoint classes covering [n]; class_of maps vertex -> class index.
+    Class members, sizes and pair counts are all derived from class_of."""
 
     q: int
     class_of: np.ndarray
-    classes: list[np.ndarray] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -289,10 +289,14 @@ class Partition:
 
     @property
     def class_sizes(self) -> list[int]:
-        return [int(c.shape[0]) for c in self.classes]
+        return np.bincount(self.class_of, minlength=self.q).tolist()
 
     def internal_pair_count(self) -> int:
-        return sum(_comb2(s) for s in self.class_sizes)
+        # the sizes of the nonempty classes only, so q never sets the cost
+        s = np.sort(self.class_of)
+        cuts = np.flatnonzero(s[1:] != s[:-1]) + 1
+        sizes = np.diff(np.concatenate(([0], cuts, [s.shape[0]])))
+        return int((sizes * (sizes - 1) // 2).sum())
 
     def cross_pair_count(self) -> int:
         return _comb2(self.n) - self.internal_pair_count()
@@ -310,8 +314,7 @@ def partition_from_class_of(class_of, q: int | None = None) -> Partition:
         raise InfeasibleError("q must be >= 1")
     if arr.size and (arr.min() < 0 or arr.max() >= q):
         raise ValueError("class index out of range")
-    classes = [np.flatnonzero(arr == j).astype(np.int32) for j in range(q)]
-    return Partition(q=q, class_of=arr, classes=classes)
+    return Partition(q=q, class_of=arr)
 
 
 def balanced_partition(n: int, q: int, seed: int) -> Partition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import Coloring, Trace
+from .coloring import Coloring, Trace, verify_trace
 from .errors import InfeasibleError, InternalInvariantError, PaletteError
 from .graphs import Partition, PlantedInstance, _distinct, _scan_mis, induced_subgraph
 from .rng import make_rng
@@ -144,13 +144,6 @@ class GreedyReport:
         return self.params.d_hat / math.log(self.params.d_hat) ** 2 + 2
 
 
-class _IdentityPalette:
-    """Unbounded palette where color r is used for round r."""
-
-    def __getitem__(self, i: int) -> int:
-        return i
-
-
 def _check_palette(palette, sigma_colors: np.ndarray, q: int) -> None:
     pal = list(palette)
     if len(set(pal)) != len(pal):
@@ -181,7 +174,8 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     the candidate order inside a round: "lowest" vertex id (the default),
     "random" priorities drawn from selector_seed (0 when None), or
     "highest_degree" first; ties go to the lower vertex id. strict
-    re-checks properness at every emitted move.
+    verifies the finished trace and raises InternalInvariantError at its
+    first bad step.
     """
     from .residual import degeneracy_recolor_greedy
 
@@ -197,7 +191,8 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     colors = part.class_of.astype(np.int64).copy()
     auto_palette = palette is None
     if auto_palette:
-        pal = _IdentityPalette()
+        # each round empties its class, so a round starts only while rounds < q
+        pal = range(q)
     else:
         _check_palette(palette, colors, q)
         pal = list(palette)
@@ -219,35 +214,30 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     round_classes: list[int] = []
     takes: list[np.ndarray] = []
     rounds = 0
-    k_ptr = 0
 
     while u_count > L:
-        while k_ptr < q and not in_u[part.classes[k_ptr]].any():
-            k_ptr += 1
-        if k_ptr == q:
-            raise InternalInvariantError("uncolored vertices left but all classes empty")
-        if not auto_palette and rounds >= len(pal):
+        if rounds >= len(pal):
             raise PaletteError(
                 f"palette exhausted after {rounds} rounds with {u_count} vertices uncolored",
                 rounds_completed=rounds)
         target = int(pal[rounds])
 
-        # line A: the scan takes the whole remaining class first (it is
-        # independent), then the candidates in selector order. Its free set is
-        # the round's pool: a neighbor of a round-color vertex cannot join
-        taken, pool = _scan_mis(g, np.concatenate((part.classes[k_ptr], order)), in_u)
-        if strict:
-            for v in taken.tolist():
-                if bool(np.any(colors[g.neighbors(v)] == target)):
-                    raise InternalInvariantError(f"move of {v} would be improper")
-                colors[v] = target
+        # line A: the round's class k is the lowest among uncolored vertices.
+        # The scan takes its remaining members first (they are independent),
+        # then the candidates in selector order. Its free set is the round's
+        # pool: a neighbor of a round-color vertex cannot join
+        uncolored = np.flatnonzero(in_u)
+        uncolored_class = part.class_of[uncolored]
+        k = int(uncolored_class.min())
+        members = uncolored[uncolored_class == k]
+        taken, pool = _scan_mis(g, np.concatenate((members, order)), in_u)
         colors[taken] = target
         in_u[taken] = False
         u_count -= taken.shape[0]
         takes.append(taken)
         rounds += 1
         round_pools.append(pool)
-        round_classes.append(k_ptr)
+        round_classes.append(k)
 
     # each vertex moved at most once, when finalized, if its color changed
     finalized = np.concatenate(takes) if takes else np.zeros(0, dtype=np.int64)
@@ -275,6 +265,11 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
 
     phase1_moves = np.column_stack((moved, colors[moved]))
     trace = Trace(start=inst.sigma, moves=np.concatenate((phase1_moves, residual_moves)))
+    if strict:
+        ok, failure = verify_trace(g, trace)
+        if not ok:
+            raise InternalInvariantError(
+                f"trace step {failure.step} invalid: {failure.reason}")
     return GreedyReport(
         trace=trace, rounds=rounds, residual_size=residual_size,
         residual_degeneracy=residual_degeneracy, finalized=finalized,

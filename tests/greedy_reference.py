@@ -18,10 +18,16 @@ import numpy as np
 from colorwalk.coloring import Coloring, Move, Trace
 from colorwalk.errors import InternalInvariantError, PaletteError
 from colorwalk.graphs import induced_subgraph
-from colorwalk.greedy import (SELECTORS, _check_palette, _IdentityPalette,
-                              derive_params)
+from colorwalk.greedy import SELECTORS, _check_palette, derive_params
 from colorwalk.residual import degeneracy_recolor_greedy
 from colorwalk.rng import make_rng
+
+
+class _IdentityPalette:
+    """Unbounded palette where color r is used for round r."""
+
+    def __getitem__(self, i: int) -> int:
+        return i
 
 
 def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
@@ -55,7 +61,8 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
 
     in_u = np.ones(n, dtype=bool)
     u_count = n
-    class_remaining = np.array([c.shape[0] for c in part.classes], dtype=np.int64)
+    classes = [np.flatnonzero(part.class_of == j) for j in range(q)]
+    class_remaining = np.array([c.shape[0] for c in classes], dtype=np.int64)
     trajectory = [n]
     round_pools: list[list[int]] = []
     round_classes: list[int] = []
@@ -84,7 +91,7 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
         target = int(pal[rounds])
         k = k_ptr
 
-        members = part.classes[k]
+        members = classes[k]
         batch = members[in_u[members]]
         pool = [u_count]
         in_pool = in_u.copy()

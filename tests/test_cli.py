@@ -47,6 +47,19 @@ class TestGenAndVerifyPipeline:
         traj = (tmp_path / "traj.csv").read_text().splitlines()
         assert traj[0] == "t,u_t" and traj[1] == "0,60"
 
+    @pytest.mark.parametrize("extra", [[], ["--L", "0"]], ids=["residual", "rounds"])
+    def test_recolor_largest_class_index(self, tmp_path, extra):
+        # q = 2**31 with two classes present: nothing is built or walked per class
+        (tmp_path / "g.txt").write_text("2 1\n0 1\n")
+        (tmp_path / "p.txt").write_text("0\n2147483647\n")
+        assert main(["recolor", "--graph", str(tmp_path / "g.txt"),
+                     "--partition", str(tmp_path / "p.txt"),
+                     "--out-trace", str(tmp_path / "t.txt"), *extra]) == 0
+        start = cwio.read_coloring(str(tmp_path / "p.txt"))
+        ok, failure = verify_trace(cwio.read_graph(str(tmp_path / "g.txt")),
+                                   cwio.read_trace(str(tmp_path / "t.txt"), start))
+        assert ok, failure
+
     def test_round_trip_hundred_seeds(self, tmp_path):
         # 100 seeded parameter sets; each gen -> recolor -> verify closes cleanly
         combos = [(n, q, d) for n in (30, 60, 90) for q in (3, 5) for d in (2, 6)]
@@ -425,6 +438,13 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == \
             "error: n=2147483648 exceeds the int32 vertex id range\n"
         assert not out.exists()
+
+    def test_params_oversize_n_exits_two(self, capsys):
+        # without --partition, params builds an n-sized class array
+        code = main(["params", "--n", "3000000000", "--q", "3", "--d", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: n=3000000000 exceeds the int32 vertex id range\n"
 
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",

@@ -163,7 +163,7 @@ class TestRandomPartition:
         part = random_partition(10, 10, 45, seed=5)
         assert sum(part.class_sizes) == 10
         assert all(s <= 1 for s in part.class_sizes)
-        assert sorted(np.concatenate(part.classes).tolist()) == list(range(10))
+        assert sorted(part.class_of.tolist()) == list(range(10))
 
     def test_resample_cap_error(self):
         with pytest.raises(InfeasibleError, match="resamples"):
@@ -188,6 +188,7 @@ class TestRandomPartition:
         for seed in range(30):
             part = random_partition(40, 3, 300, seed=seed)
             assert part.internal_pair_count() <= comb2(40) - 300
+            assert part.internal_pair_count() == sum(comb2(s) for s in part.class_sizes)
 
     def test_min_internal_pairs_balanced(self):
         assert min_internal_pairs(10, 3) == comb2(4) + 2 * comb2(3)
@@ -209,6 +210,17 @@ class TestPartitionFromClassOf:
     def test_int32_class_of(self):
         part = partition_from_class_of(np.array([0, 2, 1, 2], dtype=np.int64))
         assert part.class_of.dtype == np.int32 and part.class_sizes == [1, 1, 2]
+
+    def test_largest_class_index_allocates_nothing_per_class(self):
+        tracemalloc.start()
+        try:
+            part = partition_from_class_of(np.array([0, 2**31 - 1]))
+            assert part.q == 2**31
+            assert part.internal_pair_count() == 0 and part.cross_pair_count() == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPlanted:

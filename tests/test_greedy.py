@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from colorwalk import (GenParams, InfeasibleError, PaletteError,
-                       PlantedInstance, build_graph, coloring_of, derive_params,
-                       gen_planted_m, partition_from_class_of,
+import colorwalk.greedy as greedy
+from colorwalk import (GenParams, InfeasibleError, InternalInvariantError,
+                       PaletteError, PlantedInstance, build_graph, coloring_of,
+                       derive_params, gen_planted_m, partition_from_class_of,
                        random_partition, run_greedy_recolor,
                        simulate_recurrence, transform_with_report, verify_trace)
 from colorwalk.rng import derived_rng
@@ -107,6 +108,20 @@ class TestGreedyRecolor:
         assert traj[0] == 3000
         assert all(traj[i + 1] == traj[i] - 1 for i in range(len(traj) - 1))
         assert rep.total_colors == rep.phase1_colors + rep.residual_colors
+
+    def test_strict_reports_first_bad_step(self, monkeypatch):
+        # a scan that ignores adjacency finalizes the whole path in round 0
+        def take_all(g, order, free):
+            taken = np.flatnonzero(free)
+            return taken, np.arange(taken.shape[0], -1, -1)
+
+        monkeypatch.setattr(greedy, "_scan_mis", take_all)
+        inst = make_instance(build_graph(3, [(0, 1), (1, 2)]), [0, 1, 0])
+        rep = run_greedy_recolor(inst, L=0)
+        assert verify_trace(inst.graph, rep.trace) == (False, (0, "monochromatic edge created"))
+        with pytest.raises(InternalInvariantError,
+                           match="^trace step 0 invalid: monochromatic edge created$"):
+            run_greedy_recolor(inst, L=0, strict=True)
 
     def test_pool_drop_bounded_by_degree(self):
         part = random_partition(400, 5, 1200, seed=3)

@@ -66,11 +66,16 @@ def test_matches_reference_grid(planted, selector, strict, L, palette):
 @st.composite
 def instances(draw):
     n = draw(st.integers(0, 60))
-    q = draw(st.integers(1, 6))
+    sparse = draw(st.booleans())
+    q = draw(st.integers(1, 1000 if sparse else 6))
     seed = draw(st.integers(0, 2**32 - 1))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
     rng = np.random.default_rng(seed)
-    class_of = rng.integers(0, q, size=n)
+    if sparse:  # at most 6 of the q classes have members
+        present = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6, unique=True))
+        class_of = np.array(present)[rng.integers(0, len(present), size=n)]
+    else:
+        class_of = rng.integers(0, q, size=n)
     u, v = np.triu_indices(n, 1)
     cross = class_of[u] != class_of[v]
     keep = cross & (rng.random(u.shape[0]) < density)

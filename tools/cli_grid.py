@@ -15,7 +15,8 @@ and diff the two ``DIR/manifest.txt`` files.
 The grid covers every subcommand (gen, params, recolor, transform,
 connect, verify, oracle and the four experiments), the generators at the
 edges of their pair decode (n = 2, a complete graph, one vertex per
-planted class, an n beyond int32), one malformed file
+planted class, an n beyond int32), a recolor whose partition file names
+class 3,000,000 for one of its two vertices, one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
 than one block of lines, a class index beyond int32, and column files
@@ -46,6 +47,8 @@ FIXTURES = {
     "path_bad_step.txt": "3 2\n0 2\n1 2\n",
     "k3_c.txt": "0\n1\n2\n",
     "k3_t.txt": "3 2\n0 3\n2 0\n",
+    "edge.txt": "2 1\n0 1\n",
+    "edge_p_sparse.txt": "0\n3000000\n",
 }
 
 # (name, reader, content): one file per reader and fault kind
@@ -185,6 +188,9 @@ def pipeline(work: Path) -> list:
                               "--out-trace", "t_degree.txt", "--out-report", "r_degree.txt"]),
         ("recolor-palette", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                              "--palette", "0,1,2,3,4,5,6,7,8,9", "--out-trace", "t_pal.txt"]),
+        ("recolor-sparse-class", ["recolor", "--graph", "edge.txt",
+                                  "--partition", "edge_p_sparse.txt", "--L", "0",
+                                  "--out-trace", "t_sparse.txt", "--out-report", "r_sparse.txt"]),
         ("recolor-exhausted", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                                "--palette", "0,1", "--out-trace", "t_exhausted.txt"]),
         ("verify-recolor", ["verify", "--graph", "g.txt", "--start", "c.txt",
