@@ -6,7 +6,7 @@ from .coloring import (Coloring, Move, Trace, TraceFailure, apply_trace,
                        verify_trace)
 from .errors import (CapError, ColorwalkError, FormatError, FreshColorError,
                      InfeasibleError, InternalInvariantError, PaletteError)
-from .graphs import (GenParams, Graph, Partition, PlantedInstance,
+from .graphs import (Graph, Partition, PlantedInstance,
                      balanced_partition, build_graph, count_edges_within,
                      degeneracy_order, gen_gnm, gen_gnp, gen_planted,
                      gen_planted_m, gen_planted_p, greedy_mis,
@@ -16,8 +16,7 @@ from .greedy import (DerivedParams, GreedyReport, derive_params,
                      run_greedy_recolor, simulate_recurrence)
 from .oracle import (HqGraph, build_hq, certify_trace, enumerate_colorings,
                      enumerate_hq, giant_fraction, sample_uniform_coloring)
-from .residual import (degeneracy_recolor_greedy, inductive_recolor,
-                       inductive_replay_recolor)
+from .residual import degeneracy_recolor_greedy
 from .transform import (classes_from_coloring, connect_pair, reverse_trace,
                         transform_to_target, transform_with_report)
 
@@ -28,7 +27,7 @@ __all__ = [
     "colors_used", "hamming", "is_proper", "verify_trace",
     "CapError", "ColorwalkError", "FormatError", "FreshColorError",
     "InfeasibleError", "InternalInvariantError", "PaletteError",
-    "GenParams", "Graph", "Partition", "PlantedInstance",
+    "Graph", "Partition", "PlantedInstance",
     "balanced_partition", "build_graph", "count_edges_within",
     "degeneracy_order", "gen_gnm", "gen_gnp", "gen_planted", "gen_planted_m",
     "gen_planted_p", "greedy_mis", "induced_subgraph",
@@ -37,7 +36,7 @@ __all__ = [
     "simulate_recurrence",
     "HqGraph", "build_hq", "certify_trace", "enumerate_colorings",
     "enumerate_hq", "giant_fraction", "sample_uniform_coloring",
-    "degeneracy_recolor_greedy", "inductive_recolor", "inductive_replay_recolor",
+    "degeneracy_recolor_greedy",
     "classes_from_coloring", "connect_pair", "reverse_trace",
     "transform_to_target", "transform_with_report",
 ]

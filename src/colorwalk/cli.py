@@ -8,17 +8,16 @@ out of memory, 4 internal error. Generating subcommands need an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from . import io
 from .coloring import Trace, colors_used, verify_trace
 from .errors import (CapError, ColorwalkError, FormatError, FreshColorError,
                      InfeasibleError, PaletteError)
 from .experiments import EXPERIMENTS, ExperimentConfig
-from .graphs import (GenParams, PlantedInstance, _check_n, gen_gnm, gen_gnp,
-                     gen_planted, partition_from_class_of)
+from .graphs import (PlantedInstance, _check_n, _comb2, gen_gnm, gen_gnp,
+                     gen_planted, min_internal_pairs)
 from .greedy import derive_params, run_greedy_recolor
 from .oracle import certify_trace, enumerate_hq, giant_fraction, sample_uniform_coloring
 from .transform import (connect_pair, contiguity_hypothesis_ok,
@@ -27,9 +26,23 @@ from .transform import (connect_pair, contiguity_hypothesis_ok,
 
 def _parse_palette(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        values = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad color list {text!r}") from None
+    bad = [x for x in values if not -2**63 <= x < 2**63]
+    if bad:
+        raise argparse.ArgumentTypeError(f"value {bad[0]} outside the int64 range")
+    return values
+
+
+def _parse_degree(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"degree must be finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("model", choices=["gnm", "gnp", "planted"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int)
-    g.add_argument("--d", type=float)
+    g.add_argument("--d", type=_parse_degree)
     g.add_argument("--p", type=float)
     g.add_argument("--q", type=int)
     g.add_argument("--seed", type=int, required=True)
@@ -53,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("params", help="print derived parameters")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--m", type=int)
-    pr.add_argument("--d", type=float)
+    pr.add_argument("--d", type=_parse_degree)
     pr.add_argument("--q", type=int, required=True)
     pr.add_argument("--partition", help="partition file; balanced split assumed otherwise")
 
@@ -109,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="seeded statistical campaigns")
     e.add_argument("kind", choices=sorted(EXPERIMENTS))
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--d", type=float, required=True)
+    e.add_argument("--d", type=_parse_degree, required=True)
     e.add_argument("--q", type=int)
     e.add_argument("--trials", type=int, default=1)
     e.add_argument("--seed", type=int, required=True)
@@ -156,11 +169,13 @@ def _cmd_params(args) -> int:
     _check_n(args.n)
     m = _resolve_m(args)
     if args.partition:
-        part = io.read_partition(args.partition, args.q, n=args.n)
+        n_q = io.read_partition(args.partition, args.q, n=args.n).cross_pair_count()
     else:
-        class_of = np.arange(args.n, dtype=np.int32) % args.q
-        part = partition_from_class_of(class_of, args.q)
-    params = derive_params(args.n, m, args.q, part)
+        if args.q < 1:  # before divmod sees it
+            raise InfeasibleError("q must be >= 1")
+        # the cross pairs of the balanced split arange(n) % q, without building it
+        n_q = _comb2(args.n) - min_internal_pairs(args.n, args.q)
+    params = derive_params(args.n, m, args.q, n_q)
     lines = [
         ("n", params.n), ("m", params.m), ("q", params.q), ("d", params.d),
         ("n_q", params.n_q), ("d_hat", params.d_hat), ("p_hat", params.p_hat),
@@ -203,8 +218,7 @@ def _report_items(report) -> list[tuple[str, object]]:
 def _cmd_recolor(args) -> int:
     g = io.read_graph(args.graph)
     part = io.read_partition(args.partition, n=g.n)
-    inst = PlantedInstance(graph=g, partition=part,
-                           params=GenParams(n=g.n, q=part.q, model="derived", m=g.m))
+    inst = PlantedInstance(graph=g, partition=part)
     report = run_greedy_recolor(inst, palette=args.palette, L=args.L,
                                 selector=args.selector,
                                 selector_seed=args.selector_seed,

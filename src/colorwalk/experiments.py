@@ -226,14 +226,15 @@ def run_density_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _planted_phat_instance(cfg: ExperimentConfig, i: int):
     part = random_partition(cfg.n, cfg.q, cfg.edge_count, derive_seed(cfg.seed, i, 2))
-    params = derive_params(cfg.n, cfg.edge_count, cfg.q, part)
+    params = derive_params(cfg.n, cfg.edge_count, cfg.q, part.cross_pair_count())
     return gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 3))
 
 
 def _coupling_trial(args):
     cfg, i = args
     inst = _planted_phat_instance(cfg, i)
-    params = derive_params(cfg.n, cfg.edge_count, cfg.q, inst.partition)
+    params = derive_params(cfg.n, cfg.edge_count, cfg.q,
+                           inst.partition.cross_pair_count())
     report = run_greedy_recolor(inst, L=cfg.l_override)
     recur = simulate_recurrence(cfg.n, params.p_hat, derive_seed(cfg.seed, i, 4))
     pool1 = report.round_pools[0] if report.round_pools else [cfg.n]
@@ -323,7 +324,7 @@ def _scaling_trial(args):
     q = _scaling_q(d)
     m = round(d * n / 2)
     part = balanced_partition(n, q, derive_seed(cfg.seed, i, 5, int(d)))
-    params = derive_params(n, m, q, part)
+    params = derive_params(n, m, q, part.cross_pair_count())
     inst = gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 6, int(d)))
     report = run_greedy_recolor(inst)
     ratio = report.total_colors * math.log(d) / d

@@ -362,26 +362,12 @@ def random_partition(n: int, q: int, m: int, seed: int) -> Partition:
         f"partition constraint still violated after {PARTITION_RESAMPLE_CAP} resamples")
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Record of how a planted instance was generated."""
-
-    n: int
-    q: int
-    model: str  # "m", "p", or "derived" for instances built from a coloring
-    m: int | None = None
-    p_hat: float | None = None
-    d: float | None = None
-    seed: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class PlantedInstance:
     """Graph + partition + the planted coloring sigma (class index per vertex)."""
 
     graph: Graph
     partition: Partition
-    params: GenParams
 
     def __post_init__(self):
         g, part = self.graph, self.partition
@@ -402,16 +388,12 @@ def _planted_edges(rng, part: Partition, m: int) -> np.ndarray:
                                 part.class_of)
 
 
-def gen_planted_m(partition: Partition, m: int, seed: int,
-                  d: float | None = None) -> PlantedInstance:
+def gen_planted_m(partition: Partition, m: int, seed: int) -> PlantedInstance:
     """m distinct edges drawn uniformly from the cross-class pairs."""
     rng = make_rng(seed)
     codes = _planted_edges(rng, partition, m)
-    g = _graph_from_tri_codes(partition.n, codes)
-    params = GenParams(n=partition.n, q=partition.q, model="m", m=m,
-                       d=d if d is not None else (2 * m / partition.n if partition.n else 0.0),
-                       seed=seed)
-    return PlantedInstance(graph=g, partition=partition, params=params)
+    return PlantedInstance(graph=_graph_from_tri_codes(partition.n, codes),
+                           partition=partition)
 
 
 def gen_planted_p(partition: Partition, p_hat: float, seed: int) -> PlantedInstance:
@@ -422,10 +404,8 @@ def gen_planted_p(partition: Partition, p_hat: float, seed: int) -> PlantedInsta
     total = partition.cross_pair_count()
     m = int(rng.binomial(total, p_hat)) if total else 0
     codes = _planted_edges(rng, partition, m)
-    g = _graph_from_tri_codes(partition.n, codes)
-    params = GenParams(n=partition.n, q=partition.q, model="p", m=m,
-                       p_hat=p_hat, seed=seed)
-    return PlantedInstance(graph=g, partition=partition, params=params)
+    return PlantedInstance(graph=_graph_from_tri_codes(partition.n, codes),
+                           partition=partition)
 
 
 def gen_planted(n: int, q: int, m: int, seed: int,
@@ -437,7 +417,7 @@ def gen_planted(n: int, q: int, m: int, seed: int,
     """
     part = random_partition(n, q, m, seed)
     if model == "m":
-        return gen_planted_m(part, m, seed + 1 if seed is not None else None)
+        return gen_planted_m(part, m, seed + 1)
     if model == "p":
         nq = part.cross_pair_count()
         if nq == 0:

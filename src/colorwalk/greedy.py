@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import Coloring, Trace, verify_trace
 from .errors import InfeasibleError, InternalInvariantError, PaletteError
-from .graphs import Partition, PlantedInstance, _distinct, _scan_mis, induced_subgraph
+from .graphs import PlantedInstance, _distinct, _scan_mis, induced_subgraph
 from .rng import make_rng
 
 SELECTORS = ("lowest", "random", "highest_degree")
@@ -50,12 +50,11 @@ class DerivedParams:
     q0_note: str | None
 
 
-def derive_params(n: int, m: int, q: int, partition: Partition) -> DerivedParams:
+def derive_params(n: int, m: int, q: int, n_q: int) -> DerivedParams:
+    """The quantities of ``DerivedParams``; ``n_q`` is the cross-class pair
+    count of the partition, ``Partition.cross_pair_count()``."""
     if q < 1:
         raise InfeasibleError("q must be >= 1")
-    if partition.n != n or partition.q != q:
-        raise ValueError("partition does not match (n, q)")
-    n_q = partition.cross_pair_count()
     if n_q == 0 and m > 0:
         raise InfeasibleError("no cross-class pairs but m > 0")
     d = 2 * m / n if n else 0.0
@@ -182,7 +181,7 @@ def run_greedy_recolor(inst: PlantedInstance, palette=None, L: int | None = None
     g = inst.graph
     part = inst.partition
     n, q = g.n, part.q
-    params = derive_params(n, g.m, q, part)
+    params = derive_params(n, g.m, q, part.cross_pair_count())
     if L is None:
         L = params.l_cutoff
     if L < 0:

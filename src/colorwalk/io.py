@@ -219,10 +219,10 @@ def write_coloring(path: str, c: Coloring) -> None:
     _atomic_write(path, _int_lines(c.colors))
 
 
-def read_coloring(path: str, palette_hint: int = -1, n: int | None = None) -> Coloring:
+def read_coloring(path: str, n: int | None = None) -> Coloring:
     """The coloring of a color file; with ``n``, the file must have exactly
     ``n`` lines."""
-    return Coloring(_read_int_column(path, "color", np.iinfo(np.int64).max, n), palette_hint)
+    return Coloring(_read_int_column(path, "color", np.iinfo(np.int64).max, n))
 
 
 def _read_int_column(path: str, noun: str, top: int, count: int | None) -> np.ndarray:

@@ -1,17 +1,9 @@
 """Recolor a residual vertex set onto fresh colors via single-vertex moves.
 
-Two constructions with the same endpoint behavior:
-
-* ``degeneracy_recolor_greedy`` is the production path: one move per
-  vertex, processed in degeneracy order, each to the lowest fresh color
-  absent from its already-processed neighbors. Needs degeneracy+1 fresh
-  colors and every prefix stays proper.
-
-* ``inductive_replay_recolor`` replays an existing move sequence for the
-  subgraph minus one low-degree vertex, patching the one conflict pattern
-  that can arise by first moving that vertex aside. It exists to exercise
-  the replay construction on tiny inputs; its output length can roughly
-  double per vertex, hence the hard size cap.
+``degeneracy_recolor_greedy`` emits one move per vertex, processed in
+degeneracy order, each to the lowest fresh color absent from its
+already-processed neighbors. It needs degeneracy+1 fresh colors, and every
+prefix stays proper.
 """
 
 from __future__ import annotations
@@ -21,11 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coloring import Coloring, move_array
-from .errors import CapError, FreshColorError, InternalInvariantError
-from .graphs import Graph, _distinct, _gather, degeneracy_order, induced_subgraph
-
-INDUCTIVE_CAP = 20
-
+from .errors import FreshColorError, InternalInvariantError
+from .graphs import Graph, _distinct, _gather, degeneracy_order
 
 # a Jones–Plassmann round with fewer ready vertices than this (at least 1)
 # hands the rest of the order to the sequential first fit; on an order
@@ -123,97 +112,3 @@ def degeneracy_recolor_greedy(g_u: Graph, vmap: np.ndarray, current: Coloring,
         raise InternalInvariantError("residual pass must move every vertex exactly once")
     assigned = fresh[_first_fit(g_u, order, delta)]
     return move_array(np.column_stack((vmap[order], assigned[order]))), delta
-
-
-def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
-                             fresh: list[int], base_path,
-                             cap: int = INDUCTIVE_CAP) -> np.ndarray:
-    """One inductive extension step of the replay construction.
-
-    Let v be the final vertex of the degeneracy order of g_u (a minimum
-    degree vertex). ``base_path`` must recolor the subgraph minus v onto
-    fresh colors, starting from ``current``. The step replays base_path on
-    all of g_u; whenever a replayed move collides with v's current color,
-    v is first moved to a fresh color valid in its neighborhood, then the
-    replayed move proceeds. If v still lacks a fresh color afterwards one
-    closing move is appended. Output length <= 2*len(base_path) + 1.
-
-    Vertices outside g_u must not hold fresh colors; vertices inside g_u
-    may (that is how tests stage the collision case).
-    """
-    fresh = _check_fresh(fresh).tolist()
-    if g_u.n > cap:
-        raise CapError(f"inductive replay capped at {cap} vertices, got {g_u.n}")
-    if g_u.n == 0:
-        return move_array([])
-    fresh_set = set(fresh)
-    _, order = degeneracy_order(g_u)
-    v_new = int(order[-1])
-    v_new_global = int(vmap[v_new])
-
-    colors = {int(vmap[i]): int(current.colors[vmap[i]]) for i in range(g_u.n)}
-    nbrs_global = {int(vmap[i]): [int(vmap[j]) for j in g_u.neighbors(i).tolist()]
-                   for i in range(g_u.n)}
-
-    if g_u.n == 1:
-        # base case: a single vertex moves straight to a fresh color
-        return move_array([] if colors[v_new_global] in fresh_set
-                          else [(v_new_global, fresh[0])])
-
-    def valid_fresh_for(v: int) -> int:
-        banned = {colors[u] for u in nbrs_global[v]}
-        banned.add(colors[v])
-        for c in fresh:
-            if c not in banned:
-                return c
-        raise FreshColorError(f"no valid fresh color for vertex {v}")
-
-    out: list[tuple[int, int]] = []
-
-    def emit(v: int, c: int) -> None:
-        if colors[v] == c:
-            raise InternalInvariantError("replay produced a no-op move")
-        blockers = [u for u in nbrs_global[v] if colors[u] == c]
-        if blockers:
-            raise InternalInvariantError(
-                f"replay produced an improper move: {v} -> {c} blocked by {blockers}")
-        colors[v] = c
-        out.append((v, c))
-
-    for w, c in move_array(base_path).tolist():
-        blockers = [u for u in nbrs_global[w] if colors[u] == c]
-        if blockers:
-            if blockers != [v_new_global]:
-                raise InternalInvariantError(
-                    f"replayed move {w} -> {c} blocked by {blockers}, "
-                    f"expected only the new vertex {v_new_global}")
-            emit(v_new_global, valid_fresh_for(v_new_global))
-        emit(w, c)
-
-    if colors[v_new_global] not in fresh_set:
-        emit(v_new_global, valid_fresh_for(v_new_global))
-    if len(out) > 2 * len(base_path) + 1:
-        raise InternalInvariantError("replay exceeded the 2r+1 length bound")
-    return move_array(out)
-
-
-def inductive_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
-                      fresh: list[int], cap: int = INDUCTIVE_CAP) -> np.ndarray:
-    """Full inductive construction: peel the graph down one minimum-degree
-    vertex at a time, then extend the move sequence back up step by step.
-    Endpoint matches the greedy pass's palette usage; length can be
-    exponential in the vertex count, hence the cap.
-    """
-    if g_u.n > cap:
-        raise CapError(f"inductive replay capped at {cap} vertices, got {g_u.n}")
-    if g_u.n == 0:
-        return move_array([])
-    if g_u.n == 1:
-        return inductive_replay_recolor(g_u, vmap, current, fresh, [], cap)
-    _, order = degeneracy_order(g_u)
-    v_new = int(order[-1])
-    rest_local = np.array([i for i in range(g_u.n) if i != v_new], dtype=np.int64)
-    sub, sub_map_local = induced_subgraph(g_u, rest_local)
-    sub_vmap = vmap[sub_map_local]
-    base = inductive_recolor(sub, sub_vmap, current, fresh, cap)
-    return inductive_replay_recolor(g_u, vmap, current, fresh, base, cap)

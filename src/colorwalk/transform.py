@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import Coloring, Trace, colors_used, hamming, is_proper, reverse_moves
 from .errors import PaletteError
-from .graphs import (GenParams, Graph, PlantedInstance, Partition, _distinct,
+from .graphs import (Graph, PlantedInstance, Partition, _distinct,
                      partition_from_class_of)
 from .greedy import GreedyReport, run_greedy_recolor
 
@@ -33,10 +33,7 @@ def classes_from_coloring(c: Coloring) -> Partition:
 def instance_from_coloring(g: Graph, sigma: Coloring) -> PlantedInstance:
     """Wrap an arbitrary proper coloring as a planted-style instance; the
     greedy rounds only need the classes to be independent sets."""
-    part = classes_from_coloring(sigma)
-    params = GenParams(n=g.n, q=part.q, model="derived", m=g.m,
-                       d=2 * g.m / g.n if g.n else 0.0)
-    return PlantedInstance(graph=g, partition=part, params=params)
+    return PlantedInstance(graph=g, partition=classes_from_coloring(sigma))
 
 
 def _check_work_palette(work_palette, sigma: Coloring, tau: Coloring) -> list[int]:

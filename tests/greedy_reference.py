@@ -38,7 +38,7 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
     g = inst.graph
     part = inst.partition
     n, q = g.n, part.q
-    params = derive_params(n, g.m, q, part)
+    params = derive_params(n, g.m, q, part.cross_pair_count())
     if L is None:
         L = params.l_cutoff
     if L < 0:

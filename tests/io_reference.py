@@ -77,11 +77,11 @@ def read_partition(path: str, q: int | None = None) -> Partition:
     return partition_from_class_of(values, q)
 
 
-def read_coloring(path: str, palette_hint: int = -1) -> Coloring:
+def read_coloring(path: str) -> Coloring:
     values = _read_int_column(path)
     if values.size and values.min() < 0:
         raise FormatError(path, int(np.argmin(values)) + 1, "negative color")
-    return Coloring(values, palette_hint)
+    return Coloring(values)
 
 
 def _read_int_column(path: str) -> np.ndarray:

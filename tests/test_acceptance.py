@@ -272,7 +272,7 @@ def planted_campaign():
     trials = []
     for i in range(100):
         part = random_partition(n, q, m, seed=derive_seed(BASE_SEED, 4, i, 0))
-        params = derive_params(n, m, q, part)
+        params = derive_params(n, m, q, part.cross_pair_count())
         inst = gen_planted_p(part, params.p_hat, seed=derive_seed(BASE_SEED, 4, i, 1))
         rep = run_greedy_recolor(inst)
         # residual degeneracy from the induced leftover subgraph

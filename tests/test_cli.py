@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -440,11 +441,77 @@ class TestUsageAndErrors:
         assert not out.exists()
 
     def test_params_oversize_n_exits_two(self, capsys):
-        # without --partition, params builds an n-sized class array
+        # the vertex id bound holds for params as it does for gen
         code = main(["params", "--n", "3000000000", "--q", "3", "--d", "2"])
         assert code == 2
         assert capsys.readouterr().err == \
             "error: n=3000000000 exceeds the int32 vertex id range\n"
+
+    @pytest.mark.parametrize("n, q", [(0, 3), (1, 1), (2, 5), (7, 3), (12, 4), (10, 10),
+                                      (101, 7)])
+    def test_params_balanced_split_matches_its_file(self, tmp_path, capsys, n, q):
+        # without --partition, params counts the cross pairs of the split
+        # arange(n) % q in closed form; the same split read from a file agrees
+        path = tmp_path / "p.txt"
+        path.write_text("".join(f"{v % q}\n" for v in range(n)))
+        args = ["params", "--n", str(n), "--q", str(q), "--m", "0"]
+        assert main(args) == 0
+        closed = capsys.readouterr().out
+        assert main([*args, "--partition", str(path)]) == 0
+        assert capsys.readouterr().out == closed
+
+    def test_params_balanced_split_builds_no_class_array(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["params", "--n", "30000000", "--q", "3", "--d", "2"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "n_q=300000000000000\n" in capsys.readouterr().out
+
+    def test_params_q_zero_exits_three_without_warning(self):
+        code, out, err = run_cli(["params", "--n", "10", "--q", "0", "--d", "2"])
+        assert (code, out, err) == (3, "", "error: q must be >= 1\n")
+
+    @pytest.mark.parametrize("option, value, bad", [
+        ("--palette", f"5,{HUGE}", HUGE), ("--palette", f"5,-{HUGE}", f"-{HUGE}"),
+        ("--work-palette", f"5,{HUGE}", HUGE), ("--work-palette-prime", f"{HUGE},7", HUGE)])
+    def test_palette_beyond_int64_exits_two(self, tmp_path, option, value, bad):
+        # valid files, so only the color list can fail
+        g, s, t, out = (tmp_path / name for name in ("g.txt", "s.txt", "t.txt", "o.txt"))
+        g.write_text("3 2\n0 1\n1 2\n")
+        s.write_text("0\n1\n0\n")
+        t.write_text("1\n0\n1\n")
+        if option == "--palette":
+            args = ["recolor", "--graph", g, "--partition", s]
+        elif option == "--work-palette":
+            args = ["transform", "--graph", g, "--sigma", s, "--tau", t]
+        else:
+            args = ["connect", "--graph", g, "--sigma", s, "--sigma-prime", s, "--tau", t,
+                    "--work-palette", "5,6"]
+        code, stdout, err = run_cli([*args, option, value, "--out-trace", out])
+        assert code == 2
+        assert stdout == ""
+        assert f"argument {option}: value {bad} outside the int64 range" in err
+        assert "internal:" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    @pytest.mark.parametrize("args", [
+        ["gen", "gnm", "--n", "10", "--seed", "1", "--out-graph", "OUT"],
+        ["params", "--n", "10", "--q", "3"],
+        ["experiment", "mis", "--n", "100", "--seed", "1", "--out", "OUT"],
+        ["experiment", "coupling", "--n", "100", "--q", "3", "--seed", "1", "--out", "OUT"],
+    ], ids=["gen", "params", "experiment-mis", "experiment-coupling"])
+    def test_non_finite_degree_exits_two(self, tmp_path, args, value):
+        out = tmp_path / "o.txt"
+        code, stdout, err = run_cli([out if a == "OUT" else a for a in args] + ["--d", value])
+        assert code == 2
+        assert stdout == ""
+        assert f"argument --d: degree must be finite, got '{value}'" in err
+        assert "internal:" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import colorwalk.greedy as greedy
-from colorwalk import (GenParams, InfeasibleError, InternalInvariantError,
+from colorwalk import (InfeasibleError, InternalInvariantError,
                        PaletteError, PlantedInstance, build_graph, coloring_of,
                        derive_params, gen_planted_m, partition_from_class_of,
                        random_partition, run_greedy_recolor,
@@ -15,16 +15,14 @@ from colorwalk.rng import derived_rng
 
 def make_instance(graph, class_of):
     part = partition_from_class_of(class_of)
-    return PlantedInstance(graph=graph, partition=part,
-                           params=GenParams(n=graph.n, q=part.q, model="derived",
-                                            m=graph.m))
+    return PlantedInstance(graph=graph, partition=part)
 
 
 class TestDeriveParams:
     def test_q0_absent_at_desk_scale(self):
         # ln 100 = 4.6052 < 7 ln ln 100 = 10.69
         part = random_partition(1000, 30, 50_000, seed=1)
-        p = derive_params(1000, 50_000, 30, part)
+        p = derive_params(1000, 50_000, 30, part.cross_pair_count())
         assert p.q0 is None
         assert "denominator" in p.q0_note
 
@@ -43,7 +41,7 @@ class TestDeriveParams:
 
     def test_hand_counted_small_case(self):
         part = partition_from_class_of([0, 0, 1, 1])
-        p = derive_params(4, 4, 2, part)
+        p = derive_params(4, 4, 2, part.cross_pair_count())
         assert p.n_q == 4
         assert p.d_hat == pytest.approx(4.0)
         assert p.p_hat == pytest.approx(1.0)
@@ -51,22 +49,22 @@ class TestDeriveParams:
     def test_m_exceeding_pairs_rejected(self):
         part = partition_from_class_of([0, 0, 1, 1])
         with pytest.raises(InfeasibleError):
-            derive_params(4, 5, 2, part)
+            derive_params(4, 5, 2, part.cross_pair_count())
 
     def test_single_class_with_edges_rejected(self):
         part = partition_from_class_of([0, 0, 0])
         with pytest.raises(InfeasibleError):
-            derive_params(3, 1, 1, part)
+            derive_params(3, 1, 1, part.cross_pair_count())
 
     def test_degenerate_edgeless(self):
         part = partition_from_class_of([0, 0, 0])
-        p = derive_params(3, 0, 1, part)
+        p = derive_params(3, 0, 1, part.cross_pair_count())
         assert p.d_hat == 0.0 and p.l_cutoff == 3
 
     def test_d_hat_dominates_d(self):
         for seed in range(5):
             part = random_partition(60, 4, 150, seed=seed)
-            p = derive_params(60, 150, 4, part)
+            p = derive_params(60, 150, 4, part.cross_pair_count())
             assert p.d_hat >= p.d
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colorwalk.graphs as graphs
-from colorwalk import (GenParams, PlantedInstance, build_graph, gen_planted_m,
+from colorwalk import (PlantedInstance, build_graph, gen_planted_m,
                        partition_from_class_of, random_partition,
                        run_greedy_recolor)
 from greedy_reference import reference_greedy_recolor
@@ -80,9 +80,7 @@ def instances(draw):
     cross = class_of[u] != class_of[v]
     keep = cross & (rng.random(u.shape[0]) < density)
     g = build_graph(n, np.stack([u[keep], v[keep]], axis=1))
-    part = partition_from_class_of(class_of, q)
-    return PlantedInstance(graph=g, partition=part,
-                           params=GenParams(n=n, q=q, model="derived", m=g.m))
+    return PlantedInstance(graph=g, partition=partition_from_class_of(class_of, q))
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,9 +107,7 @@ def id_structured_instance(n=3000, q=10, seed=31):
     ids = np.arange(n)
     g = build_graph(n, np.concatenate((np.column_stack((ids[:-1], ids[1:])),
                                        np.column_stack((ids[:-2], ids[2:])))))
-    part = partition_from_class_of(class_of, q)
-    return PlantedInstance(graph=g, partition=part,
-                           params=GenParams(n=n, q=q, model="derived", m=g.m))
+    return PlantedInstance(graph=g, partition=partition_from_class_of(class_of, q))
 
 
 @pytest.mark.parametrize("stall", [1, None])

@@ -83,7 +83,7 @@ class TestColumnFiles:
         c = coloring_of([3, 1, 4, 1], 9)
         path = tmp_path / "c.txt"
         cwio.write_coloring(str(path), c)
-        back = cwio.read_coloring(str(path), palette_hint=9)
+        back = cwio.read_coloring(str(path))
         assert back.colors.tolist() == [3, 1, 4, 1]
 
     def test_blank_line_rejected(self, tmp_path):

@@ -16,7 +16,8 @@ The grid covers every subcommand (gen, params, recolor, transform,
 connect, verify, oracle and the four experiments), the generators at the
 edges of their pair decode (n = 2, a complete graph, one vertex per
 planted class, an n beyond int32), a recolor whose partition file names
-class 3,000,000 for one of its two vertices, one malformed file
+class 3,000,000 for one of its two vertices, option values out of range
+(a palette color beyond int64, an infinite --d), one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
 than one block of lines, a class index beyond int32, and column files
@@ -173,10 +174,13 @@ def pipeline(work: Path) -> list:
                                 "--out-partition", "p_qn.txt", "--out-coloring", "c_qn.txt"]),
         ("gen-n-beyond-int32", ["gen", "gnm", "--n", "2147483648", "--m", "1", "--seed", "8",
                                 "--out-graph", "gnm_huge.txt"]),
+        ("gen-d-inf", ["gen", "gnm", "--n", "10", "--d", "inf", "--seed", "9",
+                       "--out-graph", "gnm_inf.txt"]),
         lambda: (shifted(work / "c.txt", work / "tau.txt", 1, 5),
                  shifted(work / "c.txt", work / "c2.txt", 2, 5)),
         ("params", ["params", *planted]),
         ("params-partition", ["params", *planted, "--partition", "p.txt"]),
+        ("params-d-inf", ["params", "--n", "10", "--q", "3", "--d", "inf"]),
         ("recolor-lowest", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                             "--out-trace", "t.txt", "--out-report", "r.txt",
                             "--out-trajectory", "traj.csv"]),
@@ -193,6 +197,9 @@ def pipeline(work: Path) -> list:
                                   "--out-trace", "t_sparse.txt", "--out-report", "r_sparse.txt"]),
         ("recolor-exhausted", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                                "--palette", "0,1", "--out-trace", "t_exhausted.txt"]),
+        ("recolor-palette-beyond-int64", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
+                                          "--palette", f"5,{HUGE}",
+                                          "--out-trace", "t_huge.txt"]),
         ("verify-recolor", ["verify", "--graph", "g.txt", "--start", "c.txt",
                             "--trace", "t.txt"]),
         ("verify-recolor-other-start", ["verify", "--graph", "g.txt", "--start", "tau.txt",
@@ -205,6 +212,10 @@ def pipeline(work: Path) -> list:
         ("transform-low-palette", ["transform", "--graph", "g.txt", "--sigma", "c.txt",
                                    "--tau", "tau.txt", "--work-palette", "1,0",
                                    "--out-trace", "tt_low.txt"]),
+        ("transform-work-palette-beyond-int64", ["transform", "--graph", "g.txt",
+                                                 "--sigma", "c.txt", "--tau", "tau.txt",
+                                                 "--work-palette", f"5,6,7,8,9,10,11,{HUGE}",
+                                                 "--out-trace", "tt_huge.txt"]),
         ("connect", ["connect", "--graph", "g.txt", "--sigma", "c.txt",
                      "--sigma-prime", "c2.txt", "--tau", "tau.txt",
                      "--work-palette", "5,6,7,8,9,10,11,12", "--out-trace", "tc.txt",
