@@ -45,6 +45,10 @@ def _parse_degree(text: str) -> float:
     return value
 
 
+def _parse_degree_list(text: str) -> list[float]:
+    return [_parse_degree(x) for x in text.split(",") if x.strip() != ""]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="colorwalk",
                                 description=__doc__.strip().splitlines()[0])
@@ -128,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, required=True)
     e.add_argument("--m", type=int)
     e.add_argument("--subset-samples", type=int, default=10_000)
-    e.add_argument("--d-sweep", type=_parse_palette)
+    e.add_argument("--d-sweep", type=_parse_degree_list)
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--l-override", type=int)
     e.add_argument("--format", choices=["csv", "records"], default="csv")
@@ -318,7 +322,7 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         name=args.kind, n=args.n, d=args.d, q=args.q, trials=args.trials,
         seed=args.seed, m=args.m, subset_samples=args.subset_samples,
-        d_sweep=tuple(float(x) for x in (args.d_sweep or ())), jobs=args.jobs,
+        d_sweep=tuple(args.d_sweep or ()), jobs=args.jobs,
         l_override=args.l_override)
     report = EXPERIMENTS[args.kind](cfg)
     report.write(args.out, args.format)

@@ -457,26 +457,86 @@ def count_edges_within(g: Graph, vertices) -> int:
     return int(np.count_nonzero(in_s[g.edge_u] & in_s[g.edge_v]))
 
 
+# a peel pass that would remove fewer vertices than this (at least 1) hands
+# the rest of the graph to the heap; on a chained input, such as a long
+# path, each pass would remove two vertices
+PEEL_MIN_BATCH = 64
+
+
 def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
     """Degeneracy and a matching vertex order.
 
-    Peels a minimum-degree vertex repeatedly (lowest index on ties) and
-    returns the reversed peel sequence, so each vertex has at most
-    ``degeneracy`` neighbors among its predecessors in the order.
+    Returns the reversed peel sequence, so each vertex has at most
+    ``degeneracy`` neighbors among its predecessors in the order, and the
+    last vertex has minimum degree.
 
-    The vertices of degree 0 are peeled first, in index order: no other
-    vertex's degree depends on them. The rest go through one lazy-deletion
-    heap of int keys ``deg*n + v``, which pop in the same order as
-    ``(deg, v)`` pairs; a peeled vertex's degree is set to -1.
+    The peel runs as batched k-core passes. Each pass sets
+    k = max(k, min live degree) and removes every live vertex of degree
+    <= k at once, in index order; their live neighbors lose one degree per
+    removed neighbor. A vertex removed at level k has at most k live
+    neighbors, batch-mates included, and the live graph has minimum degree
+    k whenever k rises, so the largest k is the degeneracy. Only the
+    neighbors a pass touched can join the next batch; the live vertices
+    are scanned again only when k rises.
+
+    Once a pass would remove fewer than PEEL_MIN_BATCH vertices, the
+    subgraph of the live vertices peels one minimum-degree vertex at a
+    time (lowest index on ties) through ``_heap_peel``. A graph whose
+    first pass is that small, such as any graph below PEEL_MIN_BATCH
+    vertices, gets exactly the heap's order. Larger graphs get a different
+    order than the heap alone would give, with the same degeneracy and the
+    same bound on earlier neighbors.
     """
     n = g.n
     deg = g.degrees.astype(np.int64)
-    live = np.flatnonzero(deg)
-    peel = np.flatnonzero(deg == 0).tolist()
-    heap = (deg[live] * n + live).tolist()
+    removed = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # a superset of the live vertices, ascending
+    peel: list[np.ndarray] = []
+    delta = 0  # the level k; its last value is the degeneracy
+    batch = live[:0]
+    while True:
+        if not batch.shape[0]:  # k rises: scan the live vertices again
+            live = live[~removed[live]]
+            if not live.shape[0]:
+                break
+            live_deg = deg[live]
+            delta = max(delta, int(live_deg.min()))
+            batch = live[live_deg <= delta]
+        if batch.shape[0] < PEEL_MIN_BATCH:
+            rest = live[~removed[live]]
+            if rest.shape[0] == n:
+                return _heap_peel(g)
+            sub, vmap = induced_subgraph(g, rest)
+            sub_delta, tail = _heap_peel(sub)
+            delta = max(delta, sub_delta)
+            peel.append(vmap[tail[::-1]])
+            break
+        removed[batch] = True
+        peel.append(batch)
+        _, u = _gather(g, batch)
+        u = u[~removed[u]]
+        np.subtract.at(deg, u, 1)
+        touched = _distinct(u)
+        batch = touched[deg[touched] <= delta]
+    order = np.concatenate(peel)[::-1] if peel else np.zeros(0, dtype=np.int64)
+    return delta, order.astype(np.int64)
+
+
+def _heap_peel(g: Graph) -> tuple[int, np.ndarray]:
+    """``degeneracy_order`` one vertex at a time: peel a minimum-degree
+    vertex repeatedly, lowest index on ties.
+
+    One lazy-deletion heap of int keys ``deg*n + v``, which pop in the
+    same order as ``(deg, v)`` pairs; a peeled vertex's degree is set to
+    -1.
+    """
+    n = g.n
+    deg = g.degrees.astype(np.int64)
+    heap = (deg * n + np.arange(n)).tolist()
     heapq.heapify(heap)
     indptr, nbrs, deg = g.indptr.tolist(), g.nbrs.tolist(), deg.tolist()
     pop, push = heapq.heappop, heapq.heappush
+    peel: list[int] = []
     delta = 0
     while heap:
         d, v = divmod(pop(heap), n)
@@ -491,8 +551,7 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
             if du > 0:
                 deg[u] = du - 1
                 push(heap, (du - 1) * n + u)
-    order = np.array(peel[::-1], dtype=np.int64)
-    return delta, order
+    return delta, np.array(peel[::-1], dtype=np.int64)
 
 
 def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,8 +32,8 @@ class DerivedParams:
     average degree of the independent-pair model, p_hat = d_hat/n its pair
     probability. l_cutoff is the residual threshold n/ln^2(d_hat), clamped
     to [0, n], and k_core_bound = 2*d_hat/ln^2(d_hat) + 1. q0 (the color
-    budget the construction is compared against) exists only when
-    ln d > 7 ln ln d and q > 1; q0_note says why it is absent otherwise.
+    budget the construction is compared against) exists only when q > 1,
+    d > e and ln d > 7 ln ln d; q0_note says why it is absent otherwise.
     Natural logarithms throughout.
     """
 
@@ -81,6 +81,10 @@ def derive_params(n: int, m: int, q: int, n_q: int) -> DerivedParams:
         q0_note = "q0 undefined: q <= 1"
     elif d <= 1.0:
         q0_note = "q0 undefined: d <= 1"
+    elif d <= math.e:
+        # ln ln d <= 0 makes the denominator positive for no reason: the
+        # formula is asymptotic in d and says nothing this low
+        q0_note = "q0 undefined: d <= e (ln ln d <= 0)"
     else:
         denom = math.log(d) - 7 * math.log(math.log(d))
         if denom <= 0:

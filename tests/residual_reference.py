@@ -1,19 +1,22 @@
 """Per-vertex references for the residual pass.
 
 ``reference_degeneracy_order`` is the lazy-deletion heap on ``(deg, v)``
-tuples that ``colorwalk.graphs.degeneracy_order`` ran before it emitted the
-isolated vertices first and keyed its heap on plain ints.
-``reference_degeneracy_recolor_greedy`` is the set-based first-fit loop of
-``colorwalk.residual.degeneracy_recolor_greedy`` before it ran as
-Jones–Plassmann rounds. Both are kept as the oracles the library is
-checked against; they are not imported by the package.
+tuples that ``colorwalk.graphs.degeneracy_order`` ran before it peeled in
+batched k-core passes (it still does on graphs whose first pass is below
+``PEEL_MIN_BATCH`` vertices). ``reference_degeneracy_recolor_greedy`` is
+the set-based first-fit loop of ``colorwalk.residual.degeneracy_recolor_greedy``
+before it ran as Jones–Plassmann rounds, along the heap's order;
+``reference_first_fit`` is that loop along any given order. They are kept
+as the oracles the library is checked against; they are not imported by
+the package.
 
 ``inductive_replay_recolor`` and ``inductive_recolor`` are the paper-style
 inductive construction of the residual recoloring: peel one low-degree
 vertex, recolor the rest, and replay that move sequence with the vertex
 moved aside whenever it blocks a move. Its output length can roughly
 double per vertex, hence the hard size cap. It serves as a second
-construction that the degeneracy-greedy pass is checked against.
+construction that the degeneracy-greedy pass is checked against, so it
+takes its order from ``reference_degeneracy_order``, not from the library.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from colorwalk.coloring import Coloring, move_array
 from colorwalk.errors import CapError, FreshColorError, InternalInvariantError
-from colorwalk.graphs import Graph, degeneracy_order, induced_subgraph
+from colorwalk.graphs import Graph, induced_subgraph
 
 INDUCTIVE_CAP = 20
 
@@ -75,13 +78,21 @@ def reference_degeneracy_recolor_greedy(g_u: Graph, vmap: np.ndarray, current: C
     if len(fresh) <= delta:
         raise FreshColorError(
             f"need at least degeneracy+1 = {delta + 1} fresh colors, got {len(fresh)}")
+    if order.shape[0] != g_u.n:
+        raise InternalInvariantError("residual pass must move every vertex exactly once")
+    return reference_first_fit(g_u, vmap, order, fresh), delta
+
+
+def reference_first_fit(g_u: Graph, vmap: np.ndarray, order: np.ndarray,
+                        fresh: list[int]) -> np.ndarray:
+    """The moves of the sequential first fit along ``order``: each vertex,
+    in turn, to the first fresh color (in list order) that none of its
+    earlier neighbors took, labelled through ``vmap``."""
     assigned = np.full(g_u.n, -1, dtype=np.int64)
     for v in order.tolist():
         banned = {int(assigned[u]) for u in g_u.neighbors(v).tolist() if assigned[u] >= 0}
         assigned[v] = next(c for c in fresh if c not in banned)
-    if order.shape[0] != g_u.n:
-        raise InternalInvariantError("residual pass must move every vertex exactly once")
-    return move_array(np.column_stack((vmap[order], assigned[order]))), delta
+    return move_array(np.column_stack((vmap[order], assigned[order])))
 
 
 def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
@@ -106,7 +117,7 @@ def inductive_replay_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
     if g_u.n == 0:
         return move_array([])
     fresh_set = set(fresh)
-    _, order = degeneracy_order(g_u)
+    _, order = reference_degeneracy_order(g_u)
     v_new = int(order[-1])
     v_new_global = int(vmap[v_new])
 
@@ -169,7 +180,7 @@ def inductive_recolor(g_u: Graph, vmap: np.ndarray, current: Coloring,
         return move_array([])
     if g_u.n == 1:
         return inductive_replay_recolor(g_u, vmap, current, fresh, [], cap)
-    _, order = degeneracy_order(g_u)
+    _, order = reference_degeneracy_order(g_u)
     v_new = int(order[-1])
     rest_local = np.array([i for i in range(g_u.n) if i != v_new], dtype=np.int64)
     sub, sub_map_local = induced_subgraph(g_u, rest_local)

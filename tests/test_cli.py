@@ -568,6 +568,29 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_d_sweep_takes_fractional_degrees(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["experiment", "scaling", "--n", "200", "--d", "6", "--d-sweep", "4.5,6",
+                     "--seed", "1", "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "mean_ratio_d_4.5=" in printed and "mean_ratio_d_6=" in printed
+        assert out.exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("4.5,x", "invalid float value: 'x'"),
+        ("4.5,inf", "degree must be finite, got 'inf'"),
+        ("nan,6", "degree must be finite, got 'nan'"),
+    ], ids=["nonfloat", "inf", "nan"])
+    def test_d_sweep_checks_each_degree(self, tmp_path, sweep, message):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(["experiment", "scaling", "--n", "200", "--d", "6",
+                                     "--d-sweep", sweep, "--seed", "1", "--out", out])
+        assert code == 2
+        assert stdout == ""
+        assert f"argument --d-sweep: {message}" in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

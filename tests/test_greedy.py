@@ -26,6 +26,16 @@ class TestDeriveParams:
         assert p.q0 is None
         assert "denominator" in p.q0_note
 
+    @pytest.mark.parametrize("m", [30_000, 40_774])  # d = 2 and d just below e
+    def test_q0_absent_at_d_up_to_e(self, m):
+        # ln ln d <= 0 here, so ln d > 7 ln ln d holds for no reason and the
+        # formula gave q0 = 0.92 at d = 2, below one color
+        n, q = 30_000, 3
+        p = derive_params(n, m, q, n * (n - 1) // 2 - 3 * 10_000 * 9_999 // 2)
+        assert 1 < p.d <= math.e
+        assert p.q0 is None
+        assert p.q0_note == "q0 undefined: d <= e (ln ln d <= 0)"
+
     def test_q0_defined_at_huge_d(self):
         # d = e^30: denominator = 30 - 7 ln 30 = 6.19 > 0
         d = math.exp(30)

@@ -1,20 +1,32 @@
 """Differential tests: ``degeneracy_order`` and the round-based first fit
 behind ``degeneracy_recolor_greedy`` against the heap and the per-vertex
-loop they replaced (``residual_reference``)."""
+loop they replaced (``residual_reference``).
+
+At the default ``PEEL_MIN_BATCH`` the graphs drawn here are small enough
+that the batched peel hands them to the heap at once, so the order must
+equal the heap's. With the threshold at 4 or 1, passes are batched and
+the order differs from the heap's; it is checked by its properties
+instead, and the first fit along it against the per-vertex loop along the
+same order."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import colorwalk.graphs as graphs
 import colorwalk.residual as residual
 from colorwalk import (FreshColorError, build_graph, coloring_of, degeneracy_order,
-                       degeneracy_recolor_greedy, induced_subgraph)
+                       degeneracy_recolor_greedy, gen_planted, induced_subgraph,
+                       run_greedy_recolor)
 from residual_reference import (reference_degeneracy_order,
-                                reference_degeneracy_recolor_greedy)
+                                reference_degeneracy_recolor_greedy, reference_first_fit)
 
 # FIRST_FIT_MIN_READY values: the sequential rule runs from the start,
 # after some rounds on most graphs drawn here, and never
 THRESHOLDS = (10**9, 3, 1)
+# PEEL_MIN_BATCH values: the heap peels the whole graph, the rest after
+# some batched passes on most graphs drawn here, or nothing
+PEEL_THRESHOLDS = (10**9, 4, 1)
 
 
 def random_graph(rng, n, density):
@@ -65,6 +77,39 @@ def check(g, rng):
         assert got_delta == want_delta
         assert moves.dtype == want_moves.dtype
         assert np.array_equal(moves, want_moves), threshold
+    for peel_threshold in PEEL_THRESHOLDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "PEEL_MIN_BATCH", peel_threshold)
+            delta, order = degeneracy_order(g)
+            assert_valid_order(g, delta, order, want_delta)
+            again = degeneracy_order(g)
+            assert again[0] == delta and np.array_equal(again[1], order)
+            if peel_threshold == 10**9:
+                assert np.array_equal(order, want_order)
+            # the first fit along the library's own order
+            _, local_order = degeneracy_order(g_u)
+            along = reference_first_fit(g_u, vmap, local_order, fresh)
+            for threshold in THRESHOLDS:
+                mp.setattr(residual, "FIRST_FIT_MIN_READY", threshold)
+                moves, got_delta = degeneracy_recolor_greedy(g_u, vmap, current, fresh)
+                assert got_delta == want_delta
+                assert np.array_equal(moves, along), (peel_threshold, threshold)
+
+
+def assert_valid_order(g, delta, order, want_delta):
+    """``order`` is a permutation of the vertices in which each vertex has
+    at most ``delta`` earlier neighbors, ``delta`` is the heap's
+    degeneracy, and the last vertex has minimum degree."""
+    assert delta == want_delta
+    assert order.dtype == np.int64
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    src = np.repeat(np.arange(g.n), g.degrees)
+    earlier = np.bincount(src[pos[g.nbrs] < pos[src]], minlength=g.n)
+    if g.n:
+        assert earlier.max() <= delta
+        assert g.degrees[order[-1]] == g.degrees.min()
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,3 +174,50 @@ def test_in_use_message_lists_the_first_five_sorted():
     with pytest.raises(FreshColorError) as exc:
         degeneracy_recolor_greedy(g_u, vmap, current, [20, 7, 6, 1, 0, 3, 21, 4])
     assert str(exc.value) == "fresh colors already in use: [0, 1, 3, 4, 6]"
+
+
+def paths(*lengths):
+    """Disjoint id-ordered paths of the given lengths, one after another."""
+    ends = np.cumsum(lengths)
+    u = np.arange(ends[-1] - 1)
+    return build_graph(int(ends[-1]), np.stack([u, u + 1], axis=1)[~np.isin(u, ends - 1)])
+
+
+def planted_residual(n, d, seed):
+    inst = gen_planted(n, 3, round(d * n / 2), seed=seed)
+    rep = run_greedy_recolor(inst)
+    left = np.ones(n, dtype=bool)
+    left[rep.finalized] = False
+    g_u, _ = induced_subgraph(inst.graph, np.flatnonzero(left))
+    return g_u
+
+
+@pytest.mark.parametrize("make, heap_share", [
+    # a forest: batched passes, then the heap on a tail of a few vertices
+    (lambda: planted_residual(20_000, 2, 5), "tail"),
+    # 400 vertices a pass, down to the paths' middle edges: never the heap
+    (lambda: paths(*[500] * 200), "none"),
+    # the short paths peel in batches; the long one is left to the heap
+    (lambda: paths(*[500] * 200, 2000), "tail"),
+    # 120 ends peel at k = 1, and the 30 middles left are isolated: the
+    # heap's own degeneracy is 0, below k
+    (lambda: paths(*[3] * 30, *[2] * 30), "tail"),
+], ids=["planted-n2e4-d2", "paths-200x500", "paths-200x500-and-2000", "paths-30x3-30x2"])
+def test_orders_on_both_sides_of_the_fallback(make, heap_share, monkeypatch):
+    g = make()
+    heap_sizes = []
+    heap_peel = graphs._heap_peel
+
+    def spy(h):
+        heap_sizes.append(h.n)
+        return heap_peel(h)
+
+    monkeypatch.setattr(graphs, "_heap_peel", spy)
+    delta, order = degeneracy_order(g)
+    monkeypatch.undo()
+    want_delta, _ = reference_degeneracy_order(g)
+    assert_valid_order(g, delta, order, want_delta)
+    if heap_share == "none":
+        assert heap_sizes == []
+    else:
+        assert len(heap_sizes) == 1 and 0 < heap_sizes[0] < g.n // 4

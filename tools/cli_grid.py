@@ -16,7 +16,10 @@ The grid covers every subcommand (gen, params, recolor, transform,
 connect, verify, oracle and the four experiments), the generators at the
 edges of their pair decode (n = 2, a complete graph, one vertex per
 planted class, an n beyond int32), a recolor whose partition file names
-class 3,000,000 for one of its two vertices, option values out of range
+class 3,000,000 for one of its two vertices, a recolor whose whole graph
+is residual on a 3,000-vertex path and a 60x60 grid numbered along their
+edges, params at d = 2 (below e, where q0 is undefined), a fractional
+--d-sweep, option values out of range
 (a palette color beyond int64, an infinite --d), one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
@@ -51,6 +54,23 @@ FIXTURES = {
     "edge.txt": "2 1\n0 1\n",
     "edge_p_sparse.txt": "0\n3000000\n",
 }
+
+
+def _id_ordered(n: int, edges: list[tuple[int, int]], class_of: list[int]) -> tuple[str, str]:
+    """A graph file and a partition file for a graph numbered along its
+    edges; ``edges`` are canonical and ascending."""
+    return (f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges),
+            "".join(f"{c}\n" for c in class_of))
+
+
+PATH_N, GRID_SIDE = 3000, 60
+FIXTURES["path3000.txt"], FIXTURES["path3000_p.txt"] = _id_ordered(
+    PATH_N, [(i, i + 1) for i in range(PATH_N - 1)], [i % 2 for i in range(PATH_N)])
+FIXTURES["grid60.txt"], FIXTURES["grid60_p.txt"] = _id_ordered(
+    GRID_SIDE ** 2,
+    sorted([(v, v + 1) for v in range(GRID_SIDE ** 2) if (v + 1) % GRID_SIDE]
+           + [(v, v + GRID_SIDE) for v in range(GRID_SIDE ** 2 - GRID_SIDE)]),
+    [(v // GRID_SIDE + v % GRID_SIDE) % 2 for v in range(GRID_SIDE ** 2)])
 
 # (name, reader, content): one file per reader and fault kind
 MALFORMED = [
@@ -180,6 +200,7 @@ def pipeline(work: Path) -> list:
                  shifted(work / "c.txt", work / "c2.txt", 2, 5)),
         ("params", ["params", *planted]),
         ("params-partition", ["params", *planted, "--partition", "p.txt"]),
+        ("params-d2", ["params", "--n", "30000", "--q", "3", "--d", "2"]),
         ("params-d-inf", ["params", "--n", "10", "--q", "3", "--d", "inf"]),
         ("recolor-lowest", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                             "--out-trace", "t.txt", "--out-report", "r.txt",
@@ -195,6 +216,15 @@ def pipeline(work: Path) -> list:
         ("recolor-sparse-class", ["recolor", "--graph", "edge.txt",
                                   "--partition", "edge_p_sparse.txt", "--L", "0",
                                   "--out-trace", "t_sparse.txt", "--out-report", "r_sparse.txt"]),
+        ("recolor-path-all-residual", ["recolor", "--graph", "path3000.txt",
+                                       "--partition", "path3000_p.txt", "--L", str(PATH_N),
+                                       "--strict", "--out-trace", "t_path3000.txt",
+                                       "--out-report", "r_path3000.txt"]),
+        ("recolor-grid-all-residual", ["recolor", "--graph", "grid60.txt",
+                                       "--partition", "grid60_p.txt",
+                                       "--L", str(GRID_SIDE ** 2), "--strict",
+                                       "--out-trace", "t_grid60.txt",
+                                       "--out-report", "r_grid60.txt"]),
         ("recolor-exhausted", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                                "--palette", "0,1", "--out-trace", "t_exhausted.txt"]),
         ("recolor-palette-beyond-int64", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
@@ -243,6 +273,9 @@ def pipeline(work: Path) -> list:
                                  "--format", "records", "--out", "e_coupling.txt"]),
         ("experiment-scaling", ["experiment", "scaling", "--n", "300", "--d", "6",
                                 "--d-sweep", "4,6", "--seed", "1", "--out", "e_scaling.csv"]),
+        ("experiment-scaling-fractional-sweep", ["experiment", "scaling", "--n", "200",
+                                                 "--d", "6", "--d-sweep", "4.5,6",
+                                                 "--seed", "1", "--out", "e_scaling_frac.csv"]),
         ("experiment-scaling-q-beyond-n", ["experiment", "scaling", "--n", "200", "--d", "1.01",
                                            "--seed", "1", "--out", "e_scaling_low.csv"]),
     ]
