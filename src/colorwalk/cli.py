@@ -184,20 +184,24 @@ def _cmd_params(args) -> int:
         ("n", params.n), ("m", params.m), ("q", params.q), ("d", params.d),
         ("n_q", params.n_q), ("d_hat", params.d_hat), ("p_hat", params.p_hat),
         ("l_cutoff", params.l_cutoff), ("k_core_bound", params.k_core_bound),
-        ("q0", params.q0 if params.q0 is not None else "undefined"),
+        *_q0_items(params),
+        ("contiguity_hypothesis_ok", int(contiguity_hypothesis_ok(params.d, params.q))),
     ]
-    if params.q0_note:
-        lines.append(("q0_note", params.q0_note))
-    lines.append(("contiguity_hypothesis_ok",
-                  int(contiguity_hypothesis_ok(params.d, params.q))))
     for key, value in lines:
         print(f"{key}={value}")
     return 0
 
 
+def _q0_items(params) -> list[tuple[str, object]]:
+    """q0, followed by the reason it is undefined when it is."""
+    if params.q0 is None:
+        return [("q0", "undefined"), ("q0_note", params.q0_note)]
+    return [("q0", params.q0)]
+
+
 def _report_items(report) -> list[tuple[str, object]]:
     params = report.params
-    items = [
+    return [
         ("n", params.n), ("m", params.m), ("q", params.q),
         ("rounds", report.rounds),
         ("phase1_colors", report.phase1_colors),
@@ -212,11 +216,10 @@ def _report_items(report) -> list[tuple[str, object]]:
         ("k_core_bound", params.k_core_bound),
         ("formula_residual_budget", report.formula_residual_budget()),
         ("trace_moves", len(report.trace.moves)),
-        ("q0", params.q0 if params.q0 is not None else "undefined"),
+        *_q0_items(params),
         ("q0_comparison", report.q0_comparison
          if report.q0_comparison is not None else "undefined"),
     ]
-    return items
 
 
 def _cmd_recolor(args) -> int:

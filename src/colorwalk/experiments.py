@@ -323,9 +323,12 @@ def _scaling_trial(args):
     n = cfg.n
     q = _scaling_q(d)
     m = round(d * n / 2)
-    part = balanced_partition(n, q, derive_seed(cfg.seed, i, 5, int(d)))
+    # an integral degree is its own seed index, a fractional one its exact
+    # ratio, so no two swept degrees share a stream
+    key = (int(d),) if d.is_integer() else d.as_integer_ratio()
+    part = balanced_partition(n, q, derive_seed(cfg.seed, i, 5, *key))
     params = derive_params(n, m, q, part.cross_pair_count())
-    inst = gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 6, int(d)))
+    inst = gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 6, *key))
     report = run_greedy_recolor(inst)
     ratio = report.total_colors * math.log(d) / d
     # the asymptotic per-round lower bound; negative at desk-scale degrees

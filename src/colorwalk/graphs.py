@@ -556,9 +556,8 @@ def _heap_peel(g: Graph) -> tuple[int, np.ndarray]:
 
 def _gather(g: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, u): u runs over the neighbor lists of ``vs`` in order, and
-    u[i] is a neighbor of vs[row[i]]. Reads only ``g.indptr`` and
-    ``g.nbrs``, so any CSR pair with those names will do. Callers pass
-    fewer than 2**31 rows."""
+    u[i] is a neighbor of vs[row[i]]. Callers pass fewer than 2**31
+    rows."""
     start = g.indptr[vs]
     deg = g.indptr[vs + 1] - start
     ends = np.cumsum(deg)

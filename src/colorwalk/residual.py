@@ -3,30 +3,17 @@
 ``degeneracy_recolor_greedy`` emits one move per vertex, processed in
 degeneracy order, each to the lowest fresh color absent from its
 already-processed neighbors. It needs degeneracy+1 fresh colors, and every
-prefix stays proper.
+prefix stays proper. The first fit runs as one greedy independent-set scan
+(``graphs._scan_mis``) per fresh color.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .coloring import Coloring, move_array
 from .errors import FreshColorError, InternalInvariantError
-from .graphs import Graph, _distinct, _gather, degeneracy_order
-
-# a Jones–Plassmann round with fewer ready vertices than this (at least 1)
-# hands the rest of the order to the sequential first fit; on an order
-# that chains, such as a path in id order, each round would color one vertex
-FIRST_FIT_MIN_READY = 64
-
-
-class _Csr(NamedTuple):
-    """Rows of neighbor entries, in the layout ``graphs._gather`` reads."""
-
-    indptr: np.ndarray
-    nbrs: np.ndarray
+from .graphs import Graph, _distinct, _scan_mis, degeneracy_order
 
 
 def _check_fresh(fresh) -> np.ndarray:
@@ -43,49 +30,22 @@ def _first_fit(g_u: Graph, order: np.ndarray, delta: int) -> np.ndarray:
     sequential first fit along ``order``: the lowest index that none of
     its earlier neighbors holds.
 
-    Runs as Jones–Plassmann rounds with priority = position in ``order``:
-    a vertex is ready once all its earlier neighbors have an index, and
-    every ready vertex takes the argmin of a (ready x (delta+1)) table of
-    the indices those neighbors hold (at most delta of them, so a free
-    index exists). Those are the neighbors the sequential rule sees, so the
-    indices are the same. Once a round has fewer than FIRST_FIT_MIN_READY
-    vertices, the rest follows the sequential rule in order: the indexed
-    set is closed under earlier neighbors, so nothing changes.
+    Scan i walks ``order`` with ``graphs._scan_mis`` over the vertices
+    without an index and gives index i to those it takes. A vertex gets i
+    exactly when it has no lower index and no earlier neighbor got i,
+    which is the first fit's rule. Each vertex has at most ``delta``
+    earlier neighbors, so scan delta+1 leaves nothing without an index.
     """
-    n = g_u.n
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    degrees = g_u.degrees.astype(np.int64)
-    back = pos[g_u.nbrs] < np.repeat(pos, degrees)  # entry is an earlier neighbor
-    # the rows split into a CSR of earlier and one of later neighbors
-    seen = np.zeros(back.shape[0] + 1, dtype=np.int64)
-    np.cumsum(back, out=seen[1:])
-    back_ptr = seen[g_u.indptr]
-    earlier = _Csr(back_ptr, g_u.nbrs[back])
-    later = _Csr(g_u.indptr - back_ptr, g_u.nbrs[~back])
-    left = np.diff(back_ptr)  # earlier neighbors without an index yet
-    index = np.full(n, -1, dtype=np.int64)
-    ready = np.flatnonzero(left == 0)
-    while ready.shape[0] >= FIRST_FIT_MIN_READY:
-        row, u = _gather(earlier, ready)
-        held = np.zeros((ready.shape[0], delta + 1), dtype=bool)
-        held[row, index[u]] = True
-        index[ready] = held.argmin(axis=1)
-        _, w = _gather(later, ready)
-        np.subtract.at(left, w, 1)
-        ready = _distinct(w[left[w] == 0])
-    rest = order[index[order] < 0]
-    if rest.shape[0]:
-        _, u = _gather(earlier, rest)
-        ends = np.cumsum(back_ptr[rest + 1] - back_ptr[rest]).tolist()
-        idx, u, lo = index.tolist(), u.tolist(), 0
-        for v, hi in zip(rest.tolist(), ends):
-            held = {idx[w] for w in u[lo:hi]}
-            c = 0
-            while c in held:
-                c += 1
-            idx[v], lo = c, hi
-        index = np.array(idx, dtype=np.int64)
+    index = np.full(g_u.n, -1, dtype=np.int64)
+    free = np.ones(g_u.n, dtype=bool)
+    for i in range(delta + 1):
+        if not free.any():
+            break
+        taken, _ = _scan_mis(g_u, order, free)
+        index[taken] = i
+        free[taken] = False
+    if free.any():
+        raise InternalInvariantError("first fit needs more than degeneracy+1 colors")
     return index
 
 

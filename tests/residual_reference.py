@@ -5,8 +5,9 @@ tuples that ``colorwalk.graphs.degeneracy_order`` ran before it peeled in
 batched k-core passes (it still does on graphs whose first pass is below
 ``PEEL_MIN_BATCH`` vertices). ``reference_degeneracy_recolor_greedy`` is
 the set-based first-fit loop of ``colorwalk.residual.degeneracy_recolor_greedy``
-before it ran as Jones–Plassmann rounds, along the heap's order;
-``reference_first_fit`` is that loop along any given order. They are kept
+before it ran as array passes, along the heap's order;
+``reference_first_fit`` is that loop along any given order, which
+``residual._first_fit`` (one greedy scan per fresh color) must match. They are kept
 as the oracles the library is checked against; they are not imported by
 the package.
 

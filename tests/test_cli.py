@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -6,8 +7,9 @@ import tracemalloc
 
 import pytest
 
+from colorwalk import (PlantedInstance, build_graph, cli, partition_from_class_of,
+                       run_greedy_recolor, verify_trace)
 from colorwalk import io as cwio
-from colorwalk import verify_trace
 from colorwalk.cli import main
 
 HUGE = "100000000000000000000000"  # beyond int64
@@ -590,6 +592,58 @@ class TestUsageAndErrors:
         assert stdout == ""
         assert f"argument --d-sweep: {message}" in err
         assert not out.exists()
+
+
+class TestQ0Note:
+    """q0 is followed by q0_note exactly when it is undefined, in ``params``
+    and in the recolor and transform reports alike."""
+
+    def test_params_note_follows_undefined_q0(self, capsys):
+        assert main(["params", "--n", "300", "--q", "3", "--d", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("q0=undefined")
+        assert lines[at + 1] == "q0_note=q0 undefined: d <= e (ln ln d <= 0)"
+
+    def test_params_defined_q0_has_no_note(self, capsys):
+        # every vertex its own class and every pair an edge: d = n - 1 is
+        # just past e^21.46, where ln d > 7 ln ln d
+        n = 2**31 - 1
+        assert main(["params", "--n", str(n), "--q", str(n),
+                     "--m", str(n * (n - 1) // 2)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [x for x in lines if x.startswith("q0")] == ["q0=140886877686.0421"]
+
+    def test_reports_note_follows_undefined_q0(self, tmp_path):
+        # a path numbered along its edges: d = 2 * 29 / 30, in (1, e]
+        (tmp_path / "g.txt").write_text("30 29\n" + "".join(f"{i} {i + 1}\n"
+                                                            for i in range(29)))
+        (tmp_path / "c.txt").write_text("".join(f"{i % 2}\n" for i in range(30)))
+        (tmp_path / "tau.txt").write_text("".join(f"{i % 2 + 3}\n" for i in range(30)))
+        assert main(["recolor", "--graph", str(tmp_path / "g.txt"),
+                     "--partition", str(tmp_path / "c.txt"),
+                     "--out-trace", str(tmp_path / "t.txt"),
+                     "--out-report", str(tmp_path / "r.txt")]) == 0
+        assert main(["transform", "--graph", str(tmp_path / "g.txt"),
+                     "--sigma", str(tmp_path / "c.txt"), "--tau", str(tmp_path / "tau.txt"),
+                     "--work-palette", "10,11,12", "--out-trace", str(tmp_path / "tt.txt"),
+                     "--out-report", str(tmp_path / "tr.txt")]) == 0
+        for report in ("r.txt", "tr.txt"):
+            lines = (tmp_path / report).read_text().splitlines()
+            at = lines.index("q0=undefined")
+            assert lines[at + 1] == "q0_note=q0 undefined: d <= e (ln ln d <= 0)", report
+            assert sum(x.startswith("q0_note=") for x in lines) == 1, report
+
+    def test_report_defined_q0_has_no_note(self):
+        # no graph that fits in memory has a defined q0, so set it by hand
+        inst = PlantedInstance(graph=build_graph(3, [(0, 1), (1, 2)]),
+                               partition=partition_from_class_of([0, 1, 0]))
+        report = run_greedy_recolor(inst)
+        report = dataclasses.replace(
+            report, params=dataclasses.replace(report.params, q0=4.0, q0_note=None))
+        keys = [key for key, _ in cli._report_items(report)]
+        assert "q0_note" not in keys
+        assert keys[keys.index("q0") + 1] == "q0_comparison"
+        assert dict(cli._report_items(report))["q0"] == 4.0
 
 
 class TestDeterminism:

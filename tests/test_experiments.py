@@ -166,6 +166,19 @@ class TestScalingExperiment:
         with pytest.raises(InfeasibleError, match=f"^average degree must exceed 1, got {low:g}$"):
             run_scaling_experiment(cfg)
 
+    def test_fractional_degrees_draw_their_own_instances(self, monkeypatch):
+        # 5.1 and 5.6 share their integer part and q = 7: each must still
+        # get its own partition and planted-graph seeds
+        seeds = []
+        for name in ("balanced_partition", "gen_planted_p"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, real=real: seeds.append(a[-1]) or real(*a))
+        cfg = ExperimentConfig(name="scaling", n=300, d=6.0, seed=1, d_sweep=(5.1, 5.6))
+        rep = run_scaling_experiment(cfg)
+        assert [row[2] for row in rep.rows] == [7, 7]
+        assert len(seeds) == 4 and len(set(seeds)) == 4
+
     def test_pool_bound_scaling_interpretation(self):
         assert per_round_pool_bound(100.0, 1e-3, 1000, 100_000) is None  # tiny pool
         active = per_round_pool_bound(100.0, 1e-3, 100_000, 100_000)

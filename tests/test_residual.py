@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import colorwalk.residual as residual
+import colorwalk.graphs as graphs
 from colorwalk import (CapError, FreshColorError, Move, Trace, apply_trace,
                        build_graph, coloring_of, degeneracy_order,
                        degeneracy_recolor_greedy, enumerate_hq, gen_planted_m,
@@ -73,26 +73,23 @@ class TestDegeneracyRecolorGreedy:
 
 
     def test_long_id_ordered_path_takes_the_sequential_rule(self, monkeypatch):
-        # the degeneracy order of 0-1-...-(n-1) is n-1, ..., 0: one vertex per
-        # Jones-Plassmann round, so the pass must hand the chain to the
-        # sequential first fit after a bounded number of rounds
+        # the degeneracy order of 0-1-...-(n-1) is n-1, ..., 0: the first
+        # color's scan chains, one vertex per rank-round pass, so its first
+        # window stalls and the scan's sequential rule walks the rest
         n = 100_000
         g = build_graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
         gu, vmap = whole(g)
-        sizes = []
-        gather = residual._gather
+        walked = []
+        walk = graphs._walk
 
-        def spy(csr, vs):
-            sizes.append(vs.shape[0])
-            return gather(csr, vs)
+        def spy(h, vs, dead):
+            walked.append(vs.shape[0])
+            return walk(h, vs, dead)
 
-        monkeypatch.setattr(residual, "_gather", spy)
+        monkeypatch.setattr(graphs, "_walk", spy)
         moves, delta = degeneracy_recolor_greedy(gu, vmap, coloring_of([0] * n, 1), [1, 2])
         assert delta == 1
-        # two gathers per round, then one for the rest, which the rounds left
-        rounds = len(sizes) // 2
-        assert len(sizes) % 2 == 1 and rounds <= 2
-        assert sizes[-1] == n - sum(sizes[0:-1:2])
+        assert sum(walked) >= n - graphs.MIS_FIRST_WINDOW
         assert moves[:, 0].tolist() == list(range(n - 1, -1, -1))
         assert moves[:, 1].tolist() == [1, 2] * (n // 2)
 

@@ -1,13 +1,13 @@
-"""Differential tests: ``degeneracy_order`` and the round-based first fit
-behind ``degeneracy_recolor_greedy`` against the heap and the per-vertex
-loop they replaced (``residual_reference``).
+"""Differential tests: ``degeneracy_order`` and the scan-per-color first
+fit behind ``degeneracy_recolor_greedy`` against the heap and the
+per-vertex loop they replaced (``residual_reference``).
 
 At the default ``PEEL_MIN_BATCH`` the graphs drawn here are small enough
 that the batched peel hands them to the heap at once, so the order must
 equal the heap's. With the threshold at 4 or 1, passes are batched and
 the order differs from the heap's; it is checked by its properties
 instead, and the first fit along it against the per-vertex loop along the
-same order."""
+same order. The first fit is also checked along random orders."""
 
 import numpy as np
 import pytest
@@ -21,9 +21,6 @@ from colorwalk import (FreshColorError, build_graph, coloring_of, degeneracy_ord
 from residual_reference import (reference_degeneracy_order,
                                 reference_degeneracy_recolor_greedy, reference_first_fit)
 
-# FIRST_FIT_MIN_READY values: the sequential rule runs from the start,
-# after some rounds on most graphs drawn here, and never
-THRESHOLDS = (10**9, 3, 1)
 # PEEL_MIN_BATCH values: the heap peels the whole graph, the rest after
 # some batched passes on most graphs drawn here, or nothing
 PEEL_THRESHOLDS = (10**9, 4, 1)
@@ -70,13 +67,10 @@ def check(g, rng):
     current = coloring_of(rng.integers(0, 5, size=host.n), 5)
     fresh = (5 + rng.permutation(delta + 1 + int(rng.integers(0, 3)))).tolist()
     want_moves, want_delta = reference_degeneracy_recolor_greedy(g_u, vmap, current, fresh)
-    for threshold in THRESHOLDS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(residual, "FIRST_FIT_MIN_READY", threshold)
-            moves, got_delta = degeneracy_recolor_greedy(g_u, vmap, current, fresh)
-        assert got_delta == want_delta
-        assert moves.dtype == want_moves.dtype
-        assert np.array_equal(moves, want_moves), threshold
+    moves, got_delta = degeneracy_recolor_greedy(g_u, vmap, current, fresh)
+    assert got_delta == want_delta
+    assert moves.dtype == want_moves.dtype
+    assert np.array_equal(moves, want_moves)
     for peel_threshold in PEEL_THRESHOLDS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "PEEL_MIN_BATCH", peel_threshold)
@@ -89,11 +83,9 @@ def check(g, rng):
             # the first fit along the library's own order
             _, local_order = degeneracy_order(g_u)
             along = reference_first_fit(g_u, vmap, local_order, fresh)
-            for threshold in THRESHOLDS:
-                mp.setattr(residual, "FIRST_FIT_MIN_READY", threshold)
-                moves, got_delta = degeneracy_recolor_greedy(g_u, vmap, current, fresh)
-                assert got_delta == want_delta
-                assert np.array_equal(moves, along), (peel_threshold, threshold)
+            moves, got_delta = degeneracy_recolor_greedy(g_u, vmap, current, fresh)
+            assert got_delta == want_delta
+            assert np.array_equal(moves, along), peel_threshold
 
 
 def assert_valid_order(g, delta, order, want_delta):
@@ -103,12 +95,8 @@ def assert_valid_order(g, delta, order, want_delta):
     assert delta == want_delta
     assert order.dtype == np.int64
     assert np.array_equal(np.sort(order), np.arange(g.n))
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
-    src = np.repeat(np.arange(g.n), g.degrees)
-    earlier = np.bincount(src[pos[g.nbrs] < pos[src]], minlength=g.n)
     if g.n:
-        assert earlier.max() <= delta
+        assert earlier_counts(g, order).max() <= delta
         assert g.degrees[order[-1]] == g.degrees.min()
 
 
@@ -128,6 +116,30 @@ def test_random_graphs_match_reference(n, seed, density, isolated):
 ], ids=lambda g: f"n{g.n}-m{g.m}")
 def test_id_ordered_shapes_match_reference(g):
     check(g, np.random.default_rng(g.n))
+
+
+def earlier_counts(g, order):
+    """Each vertex's number of neighbors before it in ``order``."""
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    src = np.repeat(np.arange(g.n), g.degrees)
+    return np.bincount(src[pos[g.nbrs] < pos[src]], minlength=g.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.3, 0.9]))
+def test_first_fit_along_random_orders_matches_reference(n, seed, density):
+    # any order, not only a degeneracy order: delta is the order's own
+    # largest count of earlier neighbors, so scan delta+1 must finish
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, density)
+    order = rng.permutation(n)
+    delta = int(earlier_counts(g, order).max()) if n else 0
+    index = residual._first_fit(g, order, delta)
+    want = reference_first_fit(g, np.arange(n), order, list(range(delta + 1)))
+    assert index.dtype == np.int64
+    assert np.array_equal(index[order], want[:, 1])
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,9 +17,11 @@ connect, verify, oracle and the four experiments), the generators at the
 edges of their pair decode (n = 2, a complete graph, one vertex per
 planted class, an n beyond int32), a recolor whose partition file names
 class 3,000,000 for one of its two vertices, a recolor whose whole graph
-is residual on a 3,000-vertex path and a 60x60 grid numbered along their
-edges, params at d = 2 (below e, where q0 is undefined), a fractional
---d-sweep, option values out of range
+is residual on a 3,000-vertex path, a 60x60 grid and a 2,000-vertex band
+of width 8 numbered along their edges (the band's residual has
+degeneracy 8, so its first fit runs nine chained scans), params at d = 2
+(below e, where q0 is undefined), a fractional --d-sweep and one whose two
+degrees share their integer part, option values out of range
 (a palette color beyond int64, an infinite --d), one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
@@ -63,7 +65,7 @@ def _id_ordered(n: int, edges: list[tuple[int, int]], class_of: list[int]) -> tu
             "".join(f"{c}\n" for c in class_of))
 
 
-PATH_N, GRID_SIDE = 3000, 60
+PATH_N, GRID_SIDE, BAND_N, BAND_WIDTH = 3000, 60, 2000, 8
 FIXTURES["path3000.txt"], FIXTURES["path3000_p.txt"] = _id_ordered(
     PATH_N, [(i, i + 1) for i in range(PATH_N - 1)], [i % 2 for i in range(PATH_N)])
 FIXTURES["grid60.txt"], FIXTURES["grid60_p.txt"] = _id_ordered(
@@ -71,6 +73,9 @@ FIXTURES["grid60.txt"], FIXTURES["grid60_p.txt"] = _id_ordered(
     sorted([(v, v + 1) for v in range(GRID_SIDE ** 2) if (v + 1) % GRID_SIDE]
            + [(v, v + GRID_SIDE) for v in range(GRID_SIDE ** 2 - GRID_SIDE)]),
     [(v // GRID_SIDE + v % GRID_SIDE) % 2 for v in range(GRID_SIDE ** 2)])
+FIXTURES["band2000.txt"], FIXTURES["band2000_p.txt"] = _id_ordered(
+    BAND_N, [(u, v) for u in range(BAND_N) for v in range(u + 1, min(BAND_N, u + BAND_WIDTH + 1))],
+    [v % (BAND_WIDTH + 1) for v in range(BAND_N)])
 
 # (name, reader, content): one file per reader and fault kind
 MALFORMED = [
@@ -225,6 +230,10 @@ def pipeline(work: Path) -> list:
                                        "--L", str(GRID_SIDE ** 2), "--strict",
                                        "--out-trace", "t_grid60.txt",
                                        "--out-report", "r_grid60.txt"]),
+        ("recolor-band-all-residual", ["recolor", "--graph", "band2000.txt",
+                                       "--partition", "band2000_p.txt", "--L", str(BAND_N),
+                                       "--strict", "--out-trace", "t_band2000.txt",
+                                       "--out-report", "r_band2000.txt"]),
         ("recolor-exhausted", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
                                "--palette", "0,1", "--out-trace", "t_exhausted.txt"]),
         ("recolor-palette-beyond-int64", ["recolor", "--graph", "g.txt", "--partition", "p.txt",
@@ -276,6 +285,10 @@ def pipeline(work: Path) -> list:
         ("experiment-scaling-fractional-sweep", ["experiment", "scaling", "--n", "200",
                                                  "--d", "6", "--d-sweep", "4.5,6",
                                                  "--seed", "1", "--out", "e_scaling_frac.csv"]),
+        ("experiment-scaling-same-integer-part", ["experiment", "scaling", "--n", "200",
+                                                  "--d", "6", "--d-sweep", "5.1,5.6",
+                                                  "--seed", "1",
+                                                  "--out", "e_scaling_same_int.csv"]),
         ("experiment-scaling-q-beyond-n", ["experiment", "scaling", "--n", "200", "--d", "1.01",
                                            "--seed", "1", "--out", "e_scaling_low.csv"]),
     ]
