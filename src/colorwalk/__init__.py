@@ -14,13 +14,24 @@ from .graphs import (Graph, Partition, PlantedInstance,
                      random_partition)
 from .greedy import (DerivedParams, GreedyReport, derive_params,
                      run_greedy_recolor, simulate_recurrence)
-from .oracle import (HqGraph, build_hq, certify_trace, enumerate_colorings,
-                     enumerate_hq, giant_fraction, sample_uniform_coloring)
 from .residual import degeneracy_recolor_greedy
 from .transform import (classes_from_coloring, connect_pair, reverse_trace,
                         transform_to_target, transform_with_report)
 
 __version__ = "0.1.0"
+
+# served on first use (PEP 562), so that importing the package, and the CLI
+# with it, does not load the oracle
+_ORACLE_NAMES = ("HqGraph", "build_hq", "certify_trace", "enumerate_colorings",
+                 "enumerate_hq", "giant_fraction", "sample_uniform_coloring")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Coloring", "Move", "Trace", "TraceFailure", "apply_trace", "coloring_of",
@@ -34,8 +45,7 @@ __all__ = [
     "partition_from_class_of", "random_partition",
     "DerivedParams", "GreedyReport", "derive_params", "run_greedy_recolor",
     "simulate_recurrence",
-    "HqGraph", "build_hq", "certify_trace", "enumerate_colorings",
-    "enumerate_hq", "giant_fraction", "sample_uniform_coloring",
+    *_ORACLE_NAMES,
     "degeneracy_recolor_greedy",
     "classes_from_coloring", "connect_pair", "reverse_trace",
     "transform_to_target", "transform_with_report",

@@ -14,13 +14,12 @@ affected bound is reported as inactive instead of passing vacuously.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .graphs import (Graph, balanced_partition, count_edges_within, gen_gnm,
+from .graphs import (Graph, _check_n, balanced_partition, count_edges_within, gen_gnm,
                      gen_planted_p, greedy_mis, random_partition)
 from .greedy import derive_params, run_greedy_recolor, simulate_recurrence
 from .io import _atomic_write, _fmt
@@ -42,6 +41,7 @@ class ExperimentConfig:
     l_override: int | None = None  # residual threshold override for runs
 
     def __post_init__(self):
+        _check_n(self.n)  # before any bound on the degree, so n decides the exit
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -94,6 +94,8 @@ def _run_trials(cfg: ExperimentConfig, worker, payload) -> list:
     # the pool starts every worker at once, so never more than there are trials
     workers = min(cfg.jobs, cfg.trials)
     if workers > 1:
+        # imported here: the pool machinery is most of this module's import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, [(payload, i) for i in indices]))
     return [worker((payload, i)) for i in indices]

@@ -55,6 +55,8 @@ def derive_params(n: int, m: int, q: int, n_q: int) -> DerivedParams:
     count of the partition, ``Partition.cross_pair_count()``."""
     if q < 1:
         raise InfeasibleError("q must be >= 1")
+    if m < 0:
+        raise InfeasibleError(f"m={m} outside [0, C({n},2)]")
     if n_q == 0 and m > 0:
         raise InfeasibleError("no cross-class pairs but m > 0")
     d = 2 * m / n if n else 0.0

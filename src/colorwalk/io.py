@@ -1,4 +1,4 @@
-"""Text file formats.
+r"""Text file formats.
 
 Graph file:     "n m" then m lines "u v", 0 <= u < v < n, ascending
                 lexicographic order.
@@ -14,23 +14,33 @@ Every reader parses rows through one block reader (``_blocks``) and
 reports the first faulty line of the file as ``FormatError(path, line,
 message)``, whatever the fault: a wrong field count, a non-integer, a
 blank line, a value beyond int64 or out of range, an edge out of order, a
-missing line or trailing content. Files are read as UTF-8; a byte that is
-not UTF-8 makes its field a non-integer at its own line.
+missing line or trailing content. Text is UTF-8; a byte that is not UTF-8
+makes its field a non-integer at its own line.
 
-``_blocks`` reads CHUNK lines at a time. A block in the plain form that
-the writers produce (every line ``width`` runs of 1 to 18 ASCII digits,
-one space apart, ended by a newline that only the file's last line may
-lack, and no line past the expected count) converts as one numpy array.
-Any other block (a sign, ``+3``, ``1_000``, non-ASCII digits, tabs,
-padding, a blank line, a 19-digit value, trailing content) is parsed again
-line by line with Python ``int()``, so each fault's message comes from that
-one per-line path and the values equal ``int()``'s either way.
+Files are opened in binary. ``_blocks`` carves blocks of CHUNK lines at
+``\n`` bytes, READ_BYTES at a time, so memory holds one block and one
+read whatever the file's size. A block in the plain form that the writers
+produce (every line ``width`` runs of 1 to 18 ASCII digits, one space
+apart, ended by a ``\n`` that only the file's last line may lack, and no
+line past the expected count) converts with numpy straight from its
+bytes. The first block that is not plain (a ``\r``, a non-ASCII byte, a
+sign, ``+3``, ``1_000``, tabs, padding, a blank line, a 19-digit value,
+trailing content), or a header line with a ``\r`` or a non-ASCII byte,
+hands the file from that block's first byte on to the text path: a UTF-8
+text wrapper with universal newlines (``errors="replace"``), CHUNK lines
+at a time. There a plain block still converts as one array, and any other
+block is parsed line by line with Python ``int()``, so each fault's
+message comes from that one per-line path and the values equal
+``int()``'s either way. Every line before the hand-over is plain and ends
+in ``\n``, so line numbers and block boundaries are those of the text
+path alone.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from io import BufferedReader, RawIOBase, TextIOWrapper
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
@@ -40,6 +50,8 @@ from .coloring import CHUNK, Coloring, Trace
 from .errors import FormatError
 from .graphs import (MAX_ID, Graph, Partition, _comb2, _graph_from_sorted_codes,
                      partition_from_class_of)
+
+READ_BYTES = 1 << 18  # bytes per read of the block reader
 
 
 def _atomic_write(path: str, line_iter: Iterable[str]) -> None:
@@ -66,9 +78,29 @@ def _int_lines(*columns: np.ndarray) -> Iterator[str]:
         yield (form * len(block))[:-1] % tuple(block.ravel().tolist())
 
 
-def _open(path: str):
-    """``path`` as UTF-8 text; a byte that is not UTF-8 reads as U+FFFD."""
-    return open(path, encoding="utf-8", errors="replace")
+def _text(head: bytes, f) -> TextIOWrapper:
+    """``head``, then the rest of binary file ``f``, as UTF-8 text with
+    universal newlines; a byte that is not UTF-8 reads as U+FFFD."""
+    return TextIOWrapper(BufferedReader(_Joined(head, f)), encoding="utf-8",
+                         errors="replace")
+
+
+class _Joined(RawIOBase):
+    """``head``, then the rest of binary file ``f``, as one raw stream, so
+    the text path needs no seek and reads pipes too."""
+
+    def __init__(self, head: bytes, f):
+        self.head, self.f = memoryview(head), f
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        if not self.head:
+            return self.f.readinto(buf)
+        k = min(len(buf), len(self.head))
+        buf[:k], self.head = self.head[:k], self.head[k:]
+        return k
 
 
 def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
@@ -81,42 +113,77 @@ def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
         raise FormatError(path, lineno, f"non-integer field in {text!r}") from None
 
 
-def _header(path: str, f, names: str) -> tuple[int, int]:
-    """The two nonnegative integers on line 1 of a graph or trace file."""
-    header = f.readline()
+def _header(path: str, f, names: str):
+    r"""The two nonnegative integers on line 1 of binary file ``f``, a graph
+    or trace file, and the rest of the file: ``f`` itself when line 1 is
+    ASCII without a ``\r``, else the text after line 1."""
+    rest, header = f, f.readline()
+    if header.isascii() and b"\r" not in header:
+        header = header.decode("ascii")
+    else:
+        rest = _text(header, f)
+        header = rest.readline()
     if not header:
         raise FormatError(path, 1, "empty file")
     a, b = _parse_ints(path, 1, header, 2)
     if a < 0 or b < 0:
         raise FormatError(path, 1, f"negative {names}")
-    return a, b
+    return a, b, rest
 
 
-def _decimal_rows(lines: list[str], width: int) -> np.ndarray | None:
-    """The (len(lines), width) int64 rows of ``lines`` if each line is
-    ``width`` runs of 1 to 18 ASCII digits, one space apart, ended by a
-    newline (the file's last line may lack it); None otherwise. 18 digits
-    always fit int64, and leading zeros read as ``int()`` reads them."""
-    text = "".join(lines)
-    if not text.isascii():
+def _carve(f, ahead: bytes) -> tuple[bytes, int, bytes]:
+    """The next block of at most CHUNK lines of ``ahead`` and then binary
+    file ``f``, cut after a newline: (its bytes, its line count, the bytes
+    read past it). Reads READ_BYTES at a time."""
+    pieces, lines, piece = [], 0, ahead
+    while True:
+        newline = np.frombuffer(piece, np.uint8) == 10
+        count = int(np.count_nonzero(newline))
+        if lines + count >= CHUNK:  # the block ends in this piece
+            cut = int(np.flatnonzero(newline)[CHUNK - lines - 1]) + 1
+            pieces.append(piece[:cut])
+            return b"".join(pieces), CHUNK, piece[cut:]
+        pieces.append(piece)
+        lines += count
+        piece = f.read(READ_BYTES)
+        if not piece:
+            data = b"".join(pieces)
+            return data, lines + (data[-1:] not in (b"", b"\n")), b""
+
+
+def _decimal_rows(data: bytes, lines: int, width: int) -> np.ndarray | None:
+    """The (lines, width) int64 rows of ``data``, ``lines`` lines of text,
+    if each line is ``width`` runs of 1 to 18 ASCII digits, one space
+    apart, ended by a newline (the last line may lack it); None otherwise.
+    18 digits always fit int64, and leading zeros read as ``int()`` reads
+    them."""
+    if not lines:
+        return np.empty((0, width), np.int64)
+    if not data.isascii():
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(raw - 48 >= 10)  # every byte that is not a digit
-    if len(ends) != len(lines) * width:
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, np.uint8)
+    digit = raw - 48  # a byte below "0" wraps past 9 too
+    ends = np.flatnonzero(digit >= 10)  # every byte that is not a digit
+    if len(ends) != lines * width:
         return None
     if not (raw[ends].reshape(-1, width) == np.array([32] * (width - 1) + [10])).all():
         return None  # each line: width - 1 single spaces, then its newline
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    digits = ends - starts
+    before = np.concatenate(([-1], ends[:-1]))  # the separator before each token
+    digits = ends - before - 1
     if digits.min() < 1 or digits.max() > 18:
         return None
-    top = int(digits.max())
+    # Horner in base 100, right-aligned: pair[i] is the two digits ending at
+    # byte i, and a token's leading pairs read 0s from the separator before it
+    digit[ends] = 0
+    pair = digit.copy()
+    pair[1:] += digit[:-1] * 10
+    pair[ends] = 0
     values = np.zeros(len(ends), np.int64)
-    for k in range(top - 1, -1, -1):  # Horner, right-aligned: "0"s before a short token
-        at = ends - k - 1
-        values = values * 10 + np.where(at >= starts, raw[at], 48) - 48
+    for k in range(int(digits.max()) | 1, 0, -2):
+        values *= 100
+        values += pair[np.maximum(ends - k, before)]
     return values.reshape(-1, width)
 
 
@@ -124,33 +191,47 @@ def _blocks(path: str, f, width: int, beyond: Callable[[list[int]], str],
             count: int | None = None, noun: str = "", headed: bool = False
             ) -> Iterator[tuple[int, np.ndarray]]:
     """The rest of ``f`` as (line of the first row, (<=CHUNK, width) int64
-    block) pairs. ``f`` is past its header line when ``headed``, and at
-    line 1 otherwise, where a blank line is a fault of its own. With
-    ``count``, exactly ``count`` lines of ``noun`` rows follow; without
-    it, rows run to the end of the file. ``beyond(row)`` is the message of
-    a row with a value outside int64. A faulty line raises its
-    FormatError once the rows before it are yielded.
+    block) pairs. ``f`` is a binary file, or the text ``_header`` left; it
+    is past its header line when ``headed``, and at line 1 otherwise,
+    where a blank line is a fault of its own. With ``count``, exactly
+    ``count`` lines of ``noun`` rows follow; without it, rows run to the
+    end of the file. ``beyond(row)`` is the message of a row with a value
+    outside int64. A faulty line raises its FormatError once the rows
+    before it are yielded.
 
-    A block in the plain form (``_decimal_rows``) converts as one array;
-    any other block, and one that runs past the ``count`` lines, goes line
-    by line through ``_parse_ints``, which gives every per-line message.
+    Blocks of a binary file are carved at newlines (``_carve``) and a plain
+    one (``_decimal_rows``) converts as one array. The first block that is
+    not plain, or that runs past the ``count`` lines, is read again as
+    text, and so is the rest of the file: each text block converts as one
+    array when it is plain, and goes line by line through
+    ``_parse_ints``, which gives every per-line message, otherwise.
     """
     line = 2 if headed else 1
     end = None if count is None else line + count
+    text = f if isinstance(f, TextIOWrapper) else None
+    ahead = b""
     while True:
-        texts = list(islice(f, CHUNK))
-        first, error = line, None
-        within = end is None or first + len(texts) <= end
-        block = _decimal_rows(texts, width) if within else None
+        first, error, block = line, None, None
+        if text is None:
+            data, lines, ahead = _carve(f, ahead)
+            if end is None or first + lines <= end:
+                block = _decimal_rows(data, lines, width)
+            if block is None:  # from here on the file is text
+                text = _text(data + ahead, f)
+        if text is not None:
+            texts = list(islice(text, CHUNK))
+            lines = len(texts)
+            if end is None or first + lines <= end:
+                block = _decimal_rows("".join(texts).encode(), lines, width)
         if block is None:
             flat: list[int] = []
             try:
-                for text in texts:
+                for text_line in texts:
                     if line == end:
                         raise FormatError(path, line, f"trailing content after {noun} list")
-                    if not headed and not text.strip():
+                    if not headed and not text_line.strip():
                         raise FormatError(path, line, "blank line")
-                    flat += _parse_ints(path, line, text, width)
+                    flat += _parse_ints(path, line, text_line, width)
                     line += 1
             except FormatError as exc:
                 error = exc
@@ -161,14 +242,14 @@ def _blocks(path: str, f, width: int, beyond: Callable[[list[int]], str],
                 error = FormatError(path, first + i, beyond(flat[i * width:(i + 1) * width]))
                 block = np.array(flat[:i * width], dtype=np.int64).reshape(-1, width)
         else:
-            line += len(texts)
-        if error is None and len(texts) < CHUNK and end is not None and line < end:
+            line += lines
+        if error is None and lines < CHUNK and end is not None and line < end:
             error = FormatError(path, line, f"expected {count} {noun} lines, file ended early")
         if len(block):
             yield first, block
         if error is not None:
             raise error
-        if len(texts) < CHUNK:
+        if lines < CHUNK:
             return
 
 
@@ -179,8 +260,8 @@ def write_graph(path: str, g: Graph) -> None:
 def read_graph(path: str) -> Graph:
     codes: list[np.ndarray] = []
     prev = -1
-    with _open(path) as f:
-        n, m = _header(path, f, "n or m")
+    with open(path, "rb") as f:
+        n, m, rest = _header(path, f, "n or m")
         if n > MAX_ID:
             raise FormatError(path, 1, f"n={n} exceeds the int32 vertex id range")
         if m > _comb2(n):
@@ -191,7 +272,7 @@ def read_graph(path: str) -> Graph:
             if 0 <= u < v < n:
                 return "edges not in ascending lexicographic order"
             return f"edge ({u}, {v}) violates 0 <= u < v < n"
-        for line, block in _blocks(path, f, 2, fault, m, "edge", headed=True):
+        for line, block in _blocks(path, rest, 2, fault, m, "edge", headed=True):
             u, v = block[:, 0], block[:, 1]
             code = u * n + v  # may wrap only on a row the range check rejects
             bad = (u < 0) | (u >= v) | (v >= n) | (np.diff(code, prepend=prev) <= 0)
@@ -229,7 +310,7 @@ def _read_int_column(path: str, noun: str, top: int, count: int | None) -> np.nd
     """The values of a one-integer-per-line file of ``count`` lines, or of
     any length without ``count``; each must lie in [0, top]."""
     values: list[np.ndarray] = []
-    with _open(path) as f:
+    with open(path, "rb") as f:
         for line, block in _blocks(path, f, 1,
                                    lambda row: f"value {row[0]} outside the int64 range",
                                    count, noun):
@@ -250,23 +331,23 @@ def write_trace(path: str, trace: Trace) -> None:
 
 
 def read_trace_header(path: str) -> tuple[int, int]:
-    with _open(path) as f:
-        return _header(path, f, "n or k")
+    with open(path, "rb") as f:
+        return _header(path, f, "n or k")[:2]
 
 
 def iter_trace_moves(path: str) -> Iterator[np.ndarray]:
     """Stream the moves of a trace file as checked (<=CHUNK, 2) int64
     blocks, without materializing them. A faulty line raises its
     FormatError once the moves before it are yielded."""
-    with _open(path) as f:
-        n, k = _header(path, f, "n or k")
+    with open(path, "rb") as f:
+        n, k, rest = _header(path, f, "n or k")
 
         def fault(row: list[int]) -> str:  # of a move out of range or beyond int64
             v, c = row
             if not 0 <= v < n:
                 return f"vertex {v} out of range"
             return "negative color" if c < 0 else f"color {c} outside the int64 range"
-        for line, block in _blocks(path, f, 2, fault, k, "move", headed=True):
+        for line, block in _blocks(path, rest, 2, fault, k, "move", headed=True):
             v, c = block[:, 0], block[:, 1]
             bad = (v < 0) | (v >= n) | (c < 0)
             if bad.any():

@@ -423,6 +423,20 @@ class TestUsageAndErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_startup_imports_only_what_the_walk_commands_use(self):
+        # experiments, the oracle and the process pool load on demand
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, colorwalk.cli; print(sorted({'colorwalk.experiments', "
+             "'colorwalk.oracle', 'concurrent.futures.process'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_experiment_kinds_are_the_experiments(self):
+        from colorwalk.experiments import EXPERIMENTS
+        assert cli.EXPERIMENT_KINDS == tuple(sorted(EXPERIMENTS))
+
     @pytest.mark.parametrize("model", ["gnm", "gnp", "planted"])
     def test_gen_negative_n_exits_two(self, tmp_path, capsys, model):
         out = tmp_path / "g.txt"
@@ -471,6 +485,12 @@ class TestUsageAndErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert "n_q=300000000000000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option, value", [("--d", "-3"), ("--m", "-15")])
+    def test_params_negative_edge_count_exits_three(self, option, value):
+        # gen rejects the same m; params printed m=-15 and a negative d_hat
+        code, out, err = run_cli(["params", "--n", "10", "--q", "3", option, value])
+        assert (code, out, err) == (3, "", "error: m=-15 outside [0, C(10,2)]\n")
 
     def test_params_q_zero_exits_three_without_warning(self):
         code, out, err = run_cli(["params", "--n", "10", "--q", "0", "--d", "2"])
@@ -544,6 +564,16 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("d", ["30", "3000"])
+    def test_experiment_negative_n_exits_two_at_any_degree(self, tmp_path, capsys, d):
+        # n is checked before the degree bound, which is inactive at d = 30
+        out = tmp_path / "x.csv"
+        code = main(["experiment", "mis", "--n", "-100", "--d", d, "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be nonnegative, got -100\n"
+        assert not out.exists()
 
     def test_experiment_rejects_negative_subset_samples(self, tmp_path, capsys):
         out = tmp_path / "density.csv"

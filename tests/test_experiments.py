@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -236,7 +237,8 @@ class TestReportFormats:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _run_trials imports the pool class from concurrent.futures on demand
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(name="mis", n=500, d=100.0, trials=trials, seed=8, jobs=jobs)
         serial = ExperimentConfig(name="mis", n=500, d=100.0, trials=trials, seed=8)
         assert run_mis_experiment(cfg).rows == run_mis_experiment(serial).rows

@@ -1,10 +1,14 @@
 import os
+import tracemalloc
+from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from colorwalk import FormatError, Move, Trace, build_graph, coloring_of, gen_gnm
 from colorwalk import io as cwio
+from colorwalk.coloring import CHUNK
 from colorwalk.graphs import partition_from_class_of
 
 
@@ -203,3 +207,95 @@ class TestRecordFiles:
         cwio.write_csv(str(csv), ["ok", "x"], [[True, 2.5], [False, 3]])
         assert rec.read_text() == "a=1\nb=0\nx=0.1\ns=t\n"
         assert csv.read_text() == "ok,x\n1,2.5\n0,3\n"
+
+
+class TestBlockReader:
+    """The byte-level block reader across blocks, threads and line ends."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """Plain and CRLF copies of a graph, a coloring, a partition and a
+        trace, each more than two blocks long."""
+        tmp = tmp_path_factory.mktemp("files")
+        g = gen_gnm(3000, 2 * CHUNK + 5, 1)
+        rng = np.random.default_rng(2)
+        colors = coloring_of(rng.integers(0, 10 ** 12, 2 * CHUNK + 7).tolist())
+        part = partition_from_class_of(rng.integers(0, 50, 2 * CHUNK + 9))
+        moves = np.column_stack((rng.integers(0, 3000, 2 * CHUNK + 11),
+                                 rng.integers(0, 40, 2 * CHUNK + 11)))
+        paths = {}
+        for kind, write, value in (
+                ("graph", cwio.write_graph, g), ("coloring", cwio.write_coloring, colors),
+                ("partition", cwio.write_partition, part),
+                ("trace", cwio.write_trace, Trace(start=coloring_of([0] * 3000), moves=moves))):
+            plain, crlf = tmp / f"{kind}.txt", tmp / f"{kind}-crlf.txt"
+            write(str(plain), value)
+            crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+            paths[kind] = [str(plain), str(crlf)]
+        return paths
+
+    READERS = {
+        "graph": lambda p: (lambda g: (g.n, g.edge_u, g.edge_v, g.indptr, g.nbrs))(
+            cwio.read_graph(p)),
+        "coloring": lambda p: (cwio.read_coloring(p).colors,),
+        "partition": lambda p: (lambda part: (part.q, part.class_of))(cwio.read_partition(p)),
+        "trace": lambda p: tuple(cwio.iter_trace_moves(p)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_threaded_reads_equal_serial_reads(self, files, kind):
+        read = self.READERS[kind]
+        paths = files[kind] * 3
+        serial = [read(p) for p in paths]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(read, paths))
+        for a, b in zip(serial, threaded):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+        # the CRLF copy, read as text, holds the same values as the plain one
+        for x, y in zip(serial[0], serial[1]):
+            assert np.array_equal(x, y)
+
+    def test_pipe_reads_like_its_file(self, files, tmp_path):
+        """The text path takes over from bytes already read, so a file
+        that cannot seek, a pipe, reads the same: here a graph whose lines
+        end in CRLF from its second block on."""
+        plain = files["graph"][0]
+        data = Path(plain).read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        fifo = tmp_path / "graph.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(data[:cut] + data[cut:].replace(b"\n", b"\r\n"))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            fed = pool.submit(feed)
+            piped = self.READERS["graph"](str(fifo))
+            fed.result(timeout=60)
+        for x, y in zip(piped, self.READERS["graph"](plain)):
+            assert np.array_equal(x, y)
+
+    def test_streaming_memory_is_one_block(self, tmp_path):
+        """Draining a trace of 16 blocks peaks within 1.5 times the peak of
+        one block: the reader holds one block (and one read) at a time, not
+        the file (12 MB here) or its moves (16 MiB)."""
+        rng = np.random.default_rng(3)
+
+        def peak(blocks: int) -> int:
+            path = str(tmp_path / f"t{blocks}.txt")
+            moves = np.column_stack((rng.integers(0, 10 ** 5, blocks * CHUNK),
+                                     rng.integers(0, 10 ** 5, blocks * CHUNK)))
+            cwio.write_trace(path, Trace(start=coloring_of([0] * 10 ** 5), moves=moves))
+            tracemalloc.start()
+            try:
+                rows = sum(len(block) for block in cwio.iter_trace_moves(path))
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rows == blocks * CHUNK
+            return top
+
+        one, many = peak(1), peak(16)
+        assert many < 1.5 * one

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,3 +223,22 @@ class TestPlantedOracleInterplay:
         inst = gen_planted_m(part, 6, seed=2)
         found = enumerate_colorings(inst.graph, 3)
         assert inst.sigma.as_tuple() in found
+
+
+def test_package_serves_oracle_names_on_demand():
+    # the package loads the oracle only when one of its names is asked for
+    script = "\n".join([
+        "import sys, colorwalk",
+        "assert 'colorwalk.oracle' not in sys.modules",
+        "from colorwalk import build_hq",
+        "from colorwalk import oracle",
+        "assert build_hq is oracle.build_hq",
+        "names = {}",
+        "exec('from colorwalk import *', names)",
+        "assert all(names[k] is getattr(colorwalk, k) for k in colorwalk.__all__)",
+        "assert len(set(colorwalk.__all__)) == len(colorwalk.__all__) == 51",
+        "assert not hasattr(colorwalk, 'no_such_name')",
+        "print('ok')",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
