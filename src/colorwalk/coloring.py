@@ -19,7 +19,7 @@ REASON_MONOCHROMATIC = "monochromatic edge created"
 REASON_NOOP = "no-op move"
 REASON_BAD_START = "start coloring improper"
 CHUNK = 1 << 16  # rows per verify pass, per .tolist() conversion and per file block
-NEIGHBOR_BUDGET = 1 << 18  # neighbor entries one verify pass gathers at most
+NEIGHBOR_BUDGET = 1 << 17  # neighbor entries one verify pass gathers at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +94,16 @@ class TraceFailure(NamedTuple):
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
-    """True iff no edge of g is monochromatic under c."""
+    """True iff no edge of g is monochromatic under c. The edge arrays are
+    scanned CHUNK edges at a time, so the scratch is one block's gathers
+    whatever m is."""
     if c.n != g.n:
         raise ValueError(f"coloring length {c.n} does not match n={g.n}")
-    if g.m == 0:
-        return True
-    return not bool(np.any(c.colors[g.edge_u] == c.colors[g.edge_v]))
+    colors = c.colors
+    for lo in range(0, g.m, CHUNK):
+        if np.any(colors[g.edge_u[lo:lo + CHUNK]] == colors[g.edge_v[lo:lo + CHUNK]]):
+            return False
+    return True
 
 
 def hamming(a: Coloring, b: Coloring) -> int:
@@ -112,16 +116,6 @@ def hamming(a: Coloring, b: Coloring) -> int:
 def colors_used(c: Coloring) -> int:
     """Number of distinct color ids present."""
     return int(_distinct(c.colors).shape[0])
-
-
-def _pass_entries(g: Graph, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(p, row, u): the first p vertices of ``v`` hold at most
-    NEIGHBOR_BUDGET neighbor entries (p >= 1), and u[i] is a neighbor of
-    v[row[i]], over all of them in row order."""
-    ends = np.cumsum(g.indptr[v + 1] - g.indptr[v])
-    p = max(1, int(np.searchsorted(ends, NEIGHBOR_BUDGET, side="right")))
-    row, u = _gather(g, v[:p])
-    return p, row, u
 
 
 def _replay(colors: np.ndarray, v: np.ndarray,
@@ -153,88 +147,120 @@ def _end_coloring(start: Coloring, moves: np.ndarray, order: np.ndarray,
     return Coloring(colors, hint)
 
 
-def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray,
-                c: np.ndarray) -> tuple[int, TraceFailure | None]:
-    """(p, failure): one pass over the first p moves v[j] -> c[j], and its
-    first failing row as ``failure.step``. If none fails, ``colors`` takes
-    the p moves; if one does, ``colors`` is left with its movers flagged
-    and must be dropped.
+def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray, c: np.ndarray,
+                deg: np.ndarray) -> TraceFailure | None:
+    """The first failing row of the pass of moves v[j] -> c[j], as
+    ``failure.step``, or None; ``deg`` holds the degrees of ``v``. If none
+    fails, ``colors`` takes the moves; if one does, ``colors`` is left with
+    its movers marked and must be dropped.
 
     A vertex may move any number of times in the pass. The color it holds
     just before row j is the new color of its latest earlier row, or its
-    color in ``colors``. The pass's movers are flagged by flipping their
-    colors negative for one gather, and only their neighbor entries are
-    looked up, by one searchsorted on the keys vertex * p + row. The
-    scratch lives only for the call.
+    color in ``colors``. The pass's distinct movers are numbered in vertex
+    order, and mover i is marked by writing ~i into ``colors`` for the one
+    gather of the neighbor entries. An entry that meets mover i reads the
+    color i held before the pass if the entry's row comes before i's first
+    row, and the new color of i's last row if it comes after that row.
+    Only an entry whose row falls between a vertex's first and last rows,
+    which needs a vertex that moves twice or more, is looked up, by a
+    searchsorted on the keys vertex * p + row.
+
+    Scratch, dropped once read and gone when the call returns: int32 and
+    int64 arrays of the p rows (``_replay``'s, and each mover's first and
+    last row), and of the pass's neighbor entries (at most
+    NEIGHBOR_BUDGET, or one vertex's neighborhood); nothing of size n.
     """
-    p, row, u = _pass_entries(g, v)
-    v, c = v[:p], c[:p]
+    p = v.shape[0]
+    row, u = _gather(g, v)
     order, held_v, last = _replay(colors, v, c)
-    seen = v[order]
-    keys = seen * p + order  # ascending: by vertex, then by row
-    moved = seen[last]
-    # colors are >= 0, so a negative color marks a mover; a pass that
-    # passes writes every mover's new color below
-    colors[moved] = ~colors[moved]
-    held = colors[u]
-    hit = np.flatnonzero(held < 0)  # entries whose vertex moves in the pass
-    held[hit] = ~held[hit]
-    query = u[hit].astype(np.int64)
-    query *= p
-    query += row[hit]
-    k = np.searchsorted(keys, query)
-    k -= 1  # the latest key below u's at row
-    earlier = (k >= 0) & (seen[k] == u[hit])  # it is u's: u moved before row
-    held[hit[earlier]] = c[order[k[earlier]]]
     noop = np.flatnonzero(held_v == c)
-    clash = row[np.flatnonzero(held == c[row])]
     first_noop = int(noop[0]) if noop.size else p
-    first_clash = int(clash[0]) if clash.size else p
+    tail = np.flatnonzero(last)  # sorted position of each mover's last row
+    moved = v[order[tail]]
+    last_row = order[tail].astype(np.int32)
+    first_row = order[np.concatenate(([0], tail[:-1] + 1))].astype(np.int32)
+    del tail, last
+    # colors are >= 0, so a negative value marks a mover; a pass that
+    # passes writes every mover's new color below
+    colors[moved] = ~np.arange(moved.shape[0])
+    held = colors[u]
+    del u
+    hit = np.flatnonzero(held < 0)  # entries whose vertex moves in the pass
+    mover = ~held[hit].astype(np.int32)
+    at = row[hit]
+    del row
+    held[hit] = held_v[first_row[mover]]
+    del held_v
+    after = at > last_row[mover]
+    held[hit[after]] = c[last_row[mover[after]]]
+    if moved.shape[0] < p:  # some vertex moves twice or more
+        between = np.flatnonzero(~after & (at > first_row[mover]))
+        if between.size:
+            keys = v[order] * p + order  # ascending: by vertex, then by row
+            query = moved[mover[between]] * p
+            query += at[between]
+            k = np.searchsorted(keys, query) - 1  # the vertex's latest row before
+            held[hit[between]] = c[order[k]]
+    del hit, mover, at, after
+    clash = np.flatnonzero(held == np.repeat(c, deg))
+    first_clash = int(np.searchsorted(np.cumsum(deg), clash[0], side="right")) if clash.size else p
     if first_noop < p and first_noop <= first_clash:
-        return p, TraceFailure(first_noop, REASON_NOOP)
+        return TraceFailure(first_noop, REASON_NOOP)
     if first_clash < p:
-        return p, TraceFailure(first_clash, REASON_MONOCHROMATIC)
-    colors[moved] = c[order[last]]
-    return p, None
+        return TraceFailure(first_clash, REASON_MONOCHROMATIC)
+    colors[moved] = c[last_row]
+    return None
 
 
 def verify_trace(g: Graph, trace: Trace,
                  moves: Iterable[np.ndarray] | None = None) -> tuple[bool, TraceFailure | None]:
     """Validity check of a trace in bounded chunks.
 
-    Keeps only the current coloring and one pass's scratch (at most CHUNK
-    moves and NEIGHBOR_BUDGET neighbor entries, or one vertex's
-    neighborhood, ``_check_pass``), whatever the trace's length. Reports
-    the first violating step: a move that recreates a monochromatic edge,
-    or a move that does not change its vertex's color (a no-op wins a tie).
-    A move with a vertex outside [0, n) or a negative color raises a
-    ValueError once every move before it has passed. ``moves`` overrides
-    the one block ``(trace.moves,)`` with an iterable of (k, 2) move
-    blocks, so callers can stream from disk; each block converts as
-    ``Trace(moves=)`` would, and is pulled only once every move before it
-    has passed.
+    Reports the first violating step: a move that recreates a
+    monochromatic edge, or a move that does not change its vertex's color
+    (a no-op wins a tie). A move with a vertex outside [0, n) or a
+    negative color raises a ValueError once every move before it has
+    passed. ``moves`` overrides the one block ``(trace.moves,)`` with an
+    iterable of (k, 2) move blocks, so callers can stream from disk; each
+    block converts as ``Trace(moves=)`` would, and is pulled only once
+    every move before it has passed.
+
+    Besides the current coloring, the scratch is bounded whatever the
+    trace's length: the start check reads CHUNK edges at a time
+    (``is_proper``); the moves are read in windows of CHUNK rows, each
+    with its malformed-row mask, degrees and their prefix sums, taken once
+    and cut into passes of at most NEIGHBOR_BUDGET neighbor entries (or
+    one vertex's neighborhood); and a pass keeps its own scratch only for
+    the call (``_check_pass``).
     """
     if trace.start.n != g.n:
         raise ValueError("start coloring length does not match graph")
-    colors = trace.start.colors.copy()
-    if g.m and np.any(colors[g.edge_u] == colors[g.edge_v]):
+    if not is_proper(g, trace.start):
         return False, TraceFailure(-1, REASON_BAD_START)
-    step = 0  # of the next move to check
+    colors = trace.start.colors.copy()
+    step = 0  # of the window's first move
     for block in (trace.moves,) if moves is None else moves:
         block = move_array(block)
-        while block.shape[0]:
-            v, c = block[:CHUNK, 0], block[:CHUNK, 1]
+        for lo in range(0, block.shape[0], CHUNK):
+            v, c = block[lo:lo + CHUNK, 0], block[lo:lo + CHUNK, 1]
             bad = (v < 0) | (v >= g.n) | (c < 0)
-            if bad[0]:
-                fault = f"vertex {v[0]} out of range" if not 0 <= v[0] < g.n else "negative color"
+            cut = int(np.argmax(bad)) if bad.any() else v.shape[0]
+            v, c = v[:cut], c[:cut]  # the window ends before the first malformed move
+            deg = g.indptr[v + 1] - g.indptr[v]
+            ends = np.cumsum(deg)
+            a = 0  # the pass's first row in the window
+            while a < cut:
+                budget = NEIGHBOR_BUDGET + (int(ends[a - 1]) if a else 0)
+                b = max(a + 1, int(np.searchsorted(ends, budget, side="right")))
+                failure = _check_pass(g, colors, v[a:b], c[a:b], deg[a:b])
+                if failure is not None:
+                    return False, TraceFailure(step + a + failure.step, failure.reason)
+                a = b
+            step += cut
+            if cut < bad.shape[0]:
+                vertex = block[lo + cut, 0]
+                fault = f"vertex {vertex} out of range" if not 0 <= vertex < g.n else "negative color"
                 raise ValueError(f"step {step}: {fault}")
-            if bad.any():  # the pass ends before the first malformed move
-                cut = int(np.argmax(bad))
-                v, c = v[:cut], c[:cut]
-            p, failure = _check_pass(g, colors, v, c)
-            if failure is not None:
-                return False, TraceFailure(step + failure.step, failure.reason)
-            block, step = block[p:], step + p
     return True, None
 
 

@@ -1,12 +1,15 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorwalk import (Coloring, Move, Trace, apply_trace, build_graph,
-                       coloring_of, colors_used, gen_gnm, hamming, is_proper,
+                       coloring_of, colors_used, gen_gnm, gen_planted, hamming, is_proper,
                        verify_trace)
-from colorwalk.coloring import (REASON_BAD_START, REASON_MONOCHROMATIC,
+from colorwalk.coloring import (CHUNK, REASON_BAD_START, REASON_MONOCHROMATIC,
                                 REASON_NOOP)
 
 
@@ -29,6 +32,66 @@ class TestIsProper:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             is_proper(k3(), coloring_of([0, 1]))
+
+
+def path(m):
+    """The path 0 - 1 - ... - m: its edges are canonical in path order."""
+    return build_graph(m + 1, np.column_stack((np.arange(m), np.arange(1, m + 1))))
+
+
+def flipped_after(n, k):
+    """0, 1, 0, 1, ... on the path's n vertices, flipped after vertex k:
+    the path edge (k, k + 1) is its only monochromatic edge."""
+    colors = np.arange(n) % 2
+    colors[k + 1:] ^= 1
+    return coloring_of(colors, 3)
+
+
+class TestStartCheckInBlocks:
+    """``is_proper`` and the start check of ``verify_trace`` read the edge
+    arrays CHUNK edges at a time; a monochromatic edge is found in any
+    block, a full last block included."""
+
+    @staticmethod
+    def outcomes(g, start):
+        trace = Trace(start=start, moves=[Move(0, 2)])
+        return is_proper(g, start), verify_trace(g, trace)
+
+    @pytest.mark.parametrize("m, k", [(2 * CHUNK + 5, 2 * CHUNK + 4), (2 * CHUNK, 2 * CHUNK - 1),
+                                      (2 * CHUNK + 1, 2 * CHUNK), (2 * CHUNK, CHUNK),
+                                      (2 * CHUNK + 5, CHUNK - 1), (1, 0)])
+    def test_only_monochromatic_edge(self, m, k):
+        # edge k is the last of a partial block, of a full last block (m a
+        # multiple of CHUNK), alone in the last block, first or last of a
+        # full block, or the only edge
+        g = path(m)
+        assert self.outcomes(g, flipped_after(m + 1, m)) == (True, (True, None))
+        assert self.outcomes(g, flipped_after(m + 1, k)) == (
+            False, (False, (-1, REASON_BAD_START)))
+
+    def test_no_edges(self):
+        g = build_graph(4, [])
+        assert g.m == 0
+        assert self.outcomes(g, coloring_of([0, 0, 0, 0], 3)) == (True, (True, None))
+
+    def test_edges_hidden_from_the_arrays(self):
+        # the edge arrays show only the even path edges (2i, 2i+1), as a
+        # graph from cases() in test_verify_reference may hide edges its
+        # CSR keeps; the last block of shown edges is partial. The start
+        # makes every hidden edge monochromatic and no shown one
+        m = 2 * CHUNK + 6
+        full = path(m)
+        g = dataclasses.replace(full, edge_u=full.edge_u[::2], edge_v=full.edge_v[::2])
+        colors = (np.arange(m + 1) + 1) // 2 % 2
+        start = coloring_of(colors, 9)
+        assert not is_proper(full, start)
+        assert self.outcomes(g, start) == (True, (True, None))
+        # a move still sees the CSR: vertex 3 onto the color of vertex 2
+        assert verify_trace(g, Trace(start=start, moves=[(1, 5), (3, int(colors[2]))])) == (
+            False, (1, REASON_MONOCHROMATIC))
+        colors[m - 1] = colors[m - 2]  # the last shown edge, (m - 2, m - 1)
+        assert self.outcomes(g, coloring_of(colors, 9)) == (
+            False, (False, (-1, REASON_BAD_START)))
 
 
 class TestHamming:
@@ -118,6 +181,24 @@ class TestVerifyTrace:
         assert ok
         end = apply_trace(g, t)
         assert end.colors.tolist() == [1, 0, 2]
+
+    def test_scratch_does_not_grow_with_m(self):
+        """The start check reads CHUNK edges at a time and a pass at most
+        NEIGHBOR_BUDGET neighbor entries, so verify's peak at m = 2e6 is
+        within 1 MB of its peak at m = 2e5 (n = 1e5 for both): two m-long
+        gathers for the start check would add 29 MB."""
+        peaks = []
+        for m in (200_000, 2_000_000):
+            inst = gen_planted(100_000, 20, m, 5)
+            moves = np.column_stack((np.arange(300), 20 + np.arange(300)))
+            trace = Trace(start=inst.sigma, moves=moves)
+            tracemalloc.start()
+            try:
+                assert verify_trace(inst.graph, trace) == (True, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
 
     def test_vertex_out_of_range(self):
         g = k3()

@@ -287,3 +287,83 @@ def test_move_beyond_int64_from_an_iterator():
         assert got == outcome(move_array, [bad]) and got[0] is OverflowError
         assert verify_trace(g, start, moves=iter([[(0, 1)], [bad]])) == (
             False, (0, REASON_MONOCHROMATIC))
+
+
+def test_vertex_moving_thrice_in_one_pass(limits):
+    # vertex 0 moves three times; leaves of it move before its first move,
+    # between its moves and after its last one, so the pass reads 0's
+    # color before the pass, after each of its moves, and at its end
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+    start = coloring_of([0, 1, 1, 1, 1, 1], 8)
+    before, first, between, second, later, third, after = (
+        (1, 2), (0, 3), (2, 4), (0, 5), (3, 6), (0, 7), (4, 3))
+    walk = [before, first, between, second, later, third, after, (5, 0)]
+    for got, want in both(g, start, walk):
+        assert got == want == (True, None)
+    # a leaf move onto the color 0 holds at that row fails there; onto a
+    # color 0 holds at another row of the pass, it fails only where 0
+    # later moves onto the leaf's color
+    mono = REASON_MONOCHROMATIC
+    for at, color, expect in [(0, 0, (False, (0, mono))), (0, 7, (False, (5, mono))),
+                              (0, 5, (False, (3, mono))), (2, 3, (False, (2, mono))),
+                              (2, 0, (True, None)), (2, 7, (False, (5, mono))),
+                              (4, 5, (False, (4, mono))), (4, 3, (True, None)),
+                              (4, 0, (True, None)), (6, 7, (False, (6, mono))),
+                              (6, 5, (True, None)), (6, 0, (True, None))]:
+        moves = list(walk)
+        moves[at] = (moves[at][0], color)
+        for got, want in both(g, start, moves):
+            assert got == want == expect
+    # a leaf that moves twice around 0's moves, and 0 moving back onto a
+    # color a leaf has just left
+    walk = [(1, 2), (0, 3), (1, 0), (0, 2), (1, 4), (0, 1), (1, 3)]
+    for got, want in both(g, start, walk):
+        assert got == want == (False, (5, REASON_MONOCHROMATIC))
+    for got, want in both(g, start, walk[:5] + [(0, 5)] + walk[6:]):
+        assert got == want == (True, None)
+
+
+def test_pass_mixing_single_and_repeated_movers(limits):
+    # ten vertices move a hundred times each and 900 others once, so one
+    # default pass holds both kinds; a move is then made to clash with a
+    # neighbor that moves before and after its row, only before it, only
+    # after it, or not at all
+    rng = np.random.default_rng(11)
+    n = 1500
+    edges = {tuple(sorted(e)) for e in rng.integers(0, n, (6000, 2)).tolist() if e[0] != e[1]}
+    g = build_graph(n, sorted(edges))
+    colors = [0] * n
+    for v in range(n):  # first fit: a proper start
+        taken = {colors[u] for u in g.neighbors(v).tolist() if u < v}
+        colors[v] = min(set(range(len(taken) + 1)) - taken)
+    start = coloring_of(colors, 40)
+    busy = rng.choice(n, 10, replace=False).tolist()
+    order = busy * 100 + rng.choice(np.setdiff1d(np.arange(n), busy), 900, replace=False).tolist()
+    rng.shuffle(order)
+    moves, rows = [], {}
+    for i, v in enumerate(order):
+        free = [x for x in range(40)
+                if x != colors[v] and all(colors[u] != x for u in g.neighbors(v).tolist())]
+        colors[v] = free[int(rng.integers(len(free)))]
+        moves.append((v, colors[v]))
+        rows.setdefault(v, []).append(i)
+    for got, want in both(g, start, moves):
+        assert got == want == (True, None)
+
+    def color_at(u, i):
+        earlier = [j for j in rows.get(u, []) if j < i]
+        return moves[earlier[-1]][1] if earlier else int(start.colors[u])
+
+    kinds = {}
+    for i, (v, _) in enumerate(moves):
+        for u in g.neighbors(v).tolist():
+            at = rows.get(u, [])
+            kind = ("between" if at and at[0] < i < at[-1] else "after" if at and at[-1] < i
+                    else "before" if at else "still")
+            kinds.setdefault(kind, []).append((i, u))
+    assert sorted(kinds) == ["after", "before", "between", "still"]
+    for pairs in kinds.values():
+        for i, u in pairs[::len(pairs) // 4][:4]:
+            bad = moves[:i] + [(moves[i][0], color_at(u, i))] + moves[i + 1:]
+            for got, want in both(g, start, bad):
+                assert got == want == (False, (i, REASON_MONOCHROMATIC))
