@@ -187,19 +187,14 @@ def _cmd_params(args) -> int:
         ("n", params.n), ("m", params.m), ("q", params.q), ("d", params.d),
         ("n_q", params.n_q), ("d_hat", params.d_hat), ("p_hat", params.p_hat),
         ("l_cutoff", params.l_cutoff), ("k_core_bound", params.k_core_bound),
-        *_q0_items(params),
+        # q0, followed by the reason it is undefined when it is
+        *([("q0", params.q0)] if params.q0 is not None
+          else [("q0", "undefined"), ("q0_note", params.q0_note)]),
         ("contiguity_hypothesis_ok", int(contiguity_hypothesis_ok(params.d, params.q))),
     ]
     for key, value in lines:
         print(f"{key}={value}")
     return 0
-
-
-def _q0_items(params) -> list[tuple[str, object]]:
-    """q0, followed by the reason it is undefined when it is."""
-    if params.q0 is None:
-        return [("q0", "undefined"), ("q0_note", params.q0_note)]
-    return [("q0", params.q0)]
 
 
 def _report_items(report) -> list[tuple[str, object]]:
@@ -219,9 +214,6 @@ def _report_items(report) -> list[tuple[str, object]]:
         ("k_core_bound", params.k_core_bound),
         ("formula_residual_budget", report.formula_residual_budget()),
         ("trace_moves", len(report.trace.moves)),
-        *_q0_items(params),
-        ("q0_comparison", report.q0_comparison
-         if report.q0_comparison is not None else "undefined"),
     ]
 
 

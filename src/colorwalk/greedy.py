@@ -134,10 +134,6 @@ class GreedyReport:
         return self.phase1_colors + self.residual_colors
 
     @property
-    def q0_comparison(self) -> float | None:
-        return self.total_colors / self.params.q0 if self.params.q0 else None
-
-    @property
     def trajectory(self) -> np.ndarray:
         return np.arange(self.params.n, self.residual_size - 1, -1, dtype=np.int64)
 

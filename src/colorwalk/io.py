@@ -17,31 +17,29 @@ blank line, a value beyond int64 or out of range, an edge out of order, a
 missing line or trailing content. Text is UTF-8; a byte that is not UTF-8
 makes its field a non-integer at its own line.
 
-Files are opened in binary. ``_blocks`` carves blocks of CHUNK lines at
-``\n`` bytes, READ_BYTES at a time, so memory holds one block and one
-read whatever the file's size. A block in the plain form that the writers
-produce (every line ``width`` runs of 1 to 18 ASCII digits, one space
-apart, ended by a ``\n`` that only the file's last line may lack, and no
-line past the expected count) converts with numpy straight from its
-bytes. The first block that is not plain (a ``\r``, a non-ASCII byte, a
-sign, ``+3``, ``1_000``, tabs, padding, a blank line, a 19-digit value,
-trailing content), or a header line with a ``\r`` or a non-ASCII byte,
-hands the file from that block's first byte on to the text path: a UTF-8
-text wrapper with universal newlines (``errors="replace"``), CHUNK lines
-at a time. There a plain block still converts as one array, and any other
-block is parsed line by line with Python ``int()``, so each fault's
-message comes from that one per-line path and the values equal
-``int()``'s either way. Every line before the hand-over is plain and ends
-in ``\n``, so line numbers and block boundaries are those of the text
-path alone.
+Files are opened in binary and read as one byte stream (``_reads``),
+READ_BYTES at a time, with universal newlines applied to the bytes: each
+``\r\n`` and each lone ``\r`` becomes ``\n``. Both are ASCII bytes, which
+never occur inside a multi-byte UTF-8 sequence, so the lines are those a
+UTF-8 text reader with universal newlines gives. ``_carve`` cuts the
+stream at ``\n`` into the header line and then blocks of CHUNK lines, so
+memory holds one block and one read whatever the file's size or line
+ends. A block in the plain form that the writers produce (every line
+``width`` runs of 1 to 18 ASCII digits, one space apart, ended by a
+``\n`` that only the file's last line may lack, and no line past the
+expected count) converts with numpy straight from its bytes. Any other
+block (a non-ASCII byte, a sign, ``+3``, ``1_000``, tabs, padding, a
+blank line, a 19-digit value, trailing content) is parsed line by line
+with Python ``int()``, each line decoded as UTF-8 (``errors="replace"``),
+as the header line is, so each fault's message comes from that one
+per-line path and the values equal ``int()``'s either way.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from io import BufferedReader, RawIOBase, TextIOWrapper
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -78,29 +76,19 @@ def _int_lines(*columns: np.ndarray) -> Iterator[str]:
         yield (form * len(block))[:-1] % tuple(block.ravel().tolist())
 
 
-def _text(head: bytes, f) -> TextIOWrapper:
-    """``head``, then the rest of binary file ``f``, as UTF-8 text with
-    universal newlines; a byte that is not UTF-8 reads as U+FFFD."""
-    return TextIOWrapper(BufferedReader(_Joined(head, f)), encoding="utf-8",
-                         errors="replace")
-
-
-class _Joined(RawIOBase):
-    """``head``, then the rest of binary file ``f``, as one raw stream, so
-    the text path needs no seek and reads pipes too."""
-
-    def __init__(self, head: bytes, f):
-        self.head, self.f = memoryview(head), f
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        if not self.head:
-            return self.f.readinto(buf)
-        k = min(len(buf), len(self.head))
-        buf[:k], self.head = self.head[:k], self.head[k:]
-        return k
+def _reads(f) -> Iterator[bytes]:
+    r"""Binary file ``f``, READ_BYTES at a time, with each ``\r\n`` and each
+    lone ``\r`` turned into ``\n``. A ``\r`` that ends a read waits for the
+    next, whose first byte may be its ``\n``."""
+    cr = b""
+    while piece := f.read(READ_BYTES):
+        piece = cr + piece
+        cr = b"\r" if piece.endswith(b"\r") else b""
+        if b"\r" in piece:  # a plain read skips the slower two-byte search
+            piece = piece[:len(piece) - len(cr)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield piece
+    if cr:
+        yield b"\n"
 
 
 def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
@@ -114,39 +102,35 @@ def _parse_ints(path: str, lineno: int, text: str, count: int) -> list[int]:
 
 
 def _header(path: str, f, names: str):
-    r"""The two nonnegative integers on line 1 of binary file ``f``, a graph
-    or trace file, and the rest of the file: ``f`` itself when line 1 is
-    ASCII without a ``\r``, else the text after line 1."""
-    rest, header = f, f.readline()
-    if header.isascii() and b"\r" not in header:
-        header = header.decode("ascii")
-    else:
-        rest = _text(header, f)
-        header = rest.readline()
-    if not header:
+    """The two nonnegative integers on line 1 of binary file ``f``, a graph
+    or trace file, and the reads (``_reads``) of the rest of the file,
+    starting with the bytes read past line 1."""
+    reads = _reads(f)
+    header, lines, ahead = _carve(reads, b"", 1)
+    if not lines:
         raise FormatError(path, 1, "empty file")
-    a, b = _parse_ints(path, 1, header, 2)
+    a, b = _parse_ints(path, 1, header.decode("utf-8", "replace"), 2)
     if a < 0 or b < 0:
         raise FormatError(path, 1, f"negative {names}")
-    return a, b, rest
+    return a, b, chain(iter((ahead,)), reads)  # an iterator frees ahead once read
 
 
-def _carve(f, ahead: bytes) -> tuple[bytes, int, bytes]:
-    """The next block of at most CHUNK lines of ``ahead`` and then binary
-    file ``f``, cut after a newline: (its bytes, its line count, the bytes
-    read past it). Reads READ_BYTES at a time."""
+def _carve(reads: Iterator[bytes], ahead: bytes, limit: int) -> tuple[bytes, int, bytes]:
+    """The next ``limit`` lines of ``ahead`` and then ``reads``, fewer at
+    the end of the file, cut after a newline: (their bytes, their line
+    count, the bytes read past them)."""
     pieces, lines, piece = [], 0, ahead
     while True:
         newline = np.frombuffer(piece, np.uint8) == 10
         count = int(np.count_nonzero(newline))
-        if lines + count >= CHUNK:  # the block ends in this piece
-            cut = int(np.flatnonzero(newline)[CHUNK - lines - 1]) + 1
+        if lines + count >= limit:  # the block ends in this piece
+            cut = int(np.flatnonzero(newline)[limit - lines - 1]) + 1
             pieces.append(piece[:cut])
-            return b"".join(pieces), CHUNK, piece[cut:]
+            return b"".join(pieces), limit, piece[cut:]
         pieces.append(piece)
         lines += count
-        piece = f.read(READ_BYTES)
-        if not piece:
+        piece = next(reads, None)
+        if piece is None:
             data = b"".join(pieces)
             return data, lines + (data[-1:] not in (b"", b"\n")), b""
 
@@ -187,46 +171,36 @@ def _decimal_rows(data: bytes, lines: int, width: int) -> np.ndarray | None:
     return values.reshape(-1, width)
 
 
-def _blocks(path: str, f, width: int, beyond: Callable[[list[int]], str],
-            count: int | None = None, noun: str = "", headed: bool = False
-            ) -> Iterator[tuple[int, np.ndarray]]:
-    """The rest of ``f`` as (line of the first row, (<=CHUNK, width) int64
-    block) pairs. ``f`` is a binary file, or the text ``_header`` left; it
-    is past its header line when ``headed``, and at line 1 otherwise,
-    where a blank line is a fault of its own. With ``count``, exactly
-    ``count`` lines of ``noun`` rows follow; without it, rows run to the
-    end of the file. ``beyond(row)`` is the message of a row with a value
-    outside int64. A faulty line raises its FormatError once the rows
-    before it are yielded.
+def _blocks(path: str, reads: Iterator[bytes], width: int,
+            beyond: Callable[[list[int]], str], count: int | None = None,
+            noun: str = "", headed: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """The rest of a file, given as its ``reads`` (``_reads``), as (line of
+    the first row, (<=CHUNK, width) int64 block) pairs. The reads start
+    past the header line when ``headed``, and at line 1 otherwise, where a
+    blank line is a fault of its own. With ``count``, exactly ``count``
+    lines of ``noun`` rows follow; without it, rows run to the end of the
+    file. ``beyond(row)`` is the message of a row with a value outside
+    int64. A faulty line raises its FormatError once the rows before it
+    are yielded.
 
-    Blocks of a binary file are carved at newlines (``_carve``) and a plain
-    one (``_decimal_rows``) converts as one array. The first block that is
-    not plain, or that runs past the ``count`` lines, is read again as
-    text, and so is the rest of the file: each text block converts as one
-    array when it is plain, and goes line by line through
-    ``_parse_ints``, which gives every per-line message, otherwise.
+    Each block of CHUNK lines (``_carve``) converts as one array when it
+    is plain (``_decimal_rows``) and no longer than the ``count`` lines
+    left. Any other block goes line by line, each line decoded as UTF-8,
+    through ``_parse_ints``, which gives every per-line message.
     """
     line = 2 if headed else 1
     end = None if count is None else line + count
-    text = f if isinstance(f, TextIOWrapper) else None
     ahead = b""
     while True:
         first, error, block = line, None, None
-        if text is None:
-            data, lines, ahead = _carve(f, ahead)
-            if end is None or first + lines <= end:
-                block = _decimal_rows(data, lines, width)
-            if block is None:  # from here on the file is text
-                text = _text(data + ahead, f)
-        if text is not None:
-            texts = list(islice(text, CHUNK))
-            lines = len(texts)
-            if end is None or first + lines <= end:
-                block = _decimal_rows("".join(texts).encode(), lines, width)
+        data, lines, ahead = _carve(reads, ahead, CHUNK)
+        if end is None or first + lines <= end:
+            block = _decimal_rows(data, lines, width)
         if block is None:
             flat: list[int] = []
             try:
-                for text_line in texts:
+                for raw in data.splitlines(keepends=True):
+                    text_line = raw.decode("utf-8", "replace")
                     if line == end:
                         raise FormatError(path, line, f"trailing content after {noun} list")
                     if not headed and not text_line.strip():
@@ -311,7 +285,7 @@ def _read_int_column(path: str, noun: str, top: int, count: int | None) -> np.nd
     any length without ``count``; each must lie in [0, top]."""
     values: list[np.ndarray] = []
     with open(path, "rb") as f:
-        for line, block in _blocks(path, f, 1,
+        for line, block in _blocks(path, _reads(f), 1,
                                    lambda row: f"value {row[0]} outside the int64 range",
                                    count, noun):
             bad = (block < 0) | (block > top)

@@ -193,6 +193,5 @@ def reference_greedy_recolor(inst, palette=None, L=None, selector="lowest",
         residual_size=residual_size, residual_degeneracy=residual_degeneracy,
         trajectory=trajectory, round_pools=round_pools,
         round_classes=round_classes, finalized=finalized,
-        params=params, l_used=int(L), residual_fresh_used=fresh_used,
-        q0_comparison=(total / params.q0 if params.q0 else None))
+        params=params, l_used=int(L), residual_fresh_used=fresh_used)
     return report

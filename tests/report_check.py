@@ -9,8 +9,7 @@ import numpy as np
 
 from colorwalk.greedy import GreedyReport
 
-DERIVED = ("phase1_colors", "residual_colors", "total_colors", "q0_comparison",
-           "trajectory")
+DERIVED = ("phase1_colors", "residual_colors", "total_colors", "trajectory")
 ARRAYS = ("finalized", "trajectory")
 
 

@@ -253,14 +253,13 @@ class TestBlockReader:
             assert len(a) == len(b)
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
-        # the CRLF copy, read as text, holds the same values as the plain one
+        # the CRLF copy holds the same values as the plain one
         for x, y in zip(serial[0], serial[1]):
             assert np.array_equal(x, y)
 
     def test_pipe_reads_like_its_file(self, files, tmp_path):
-        """The text path takes over from bytes already read, so a file
-        that cannot seek, a pipe, reads the same: here a graph whose lines
-        end in CRLF from its second block on."""
+        """A file that cannot seek, a pipe, reads as its file does: here a
+        graph whose line ends change from LF to CRLF in its second block."""
         plain = files["graph"][0]
         data = Path(plain).read_bytes()
         cut = data.index(b"\n", len(data) // 2) + 1
@@ -277,10 +276,12 @@ class TestBlockReader:
         for x, y in zip(piped, self.READERS["graph"](plain)):
             assert np.array_equal(x, y)
 
-    def test_streaming_memory_is_one_block(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_streaming_memory_is_one_block(self, tmp_path, end):
         """Draining a trace of 16 blocks peaks within 1.5 times the peak of
-        one block: the reader holds one block (and one read) at a time, not
-        the file (12 MB here) or its moves (16 MiB)."""
+        one block, whatever its line ends: the reader holds one block (and
+        one read) at a time, not the file (12 MB here) or its moves
+        (16 MiB)."""
         rng = np.random.default_rng(3)
 
         def peak(blocks: int) -> int:
@@ -288,6 +289,7 @@ class TestBlockReader:
             moves = np.column_stack((rng.integers(0, 10 ** 5, blocks * CHUNK),
                                      rng.integers(0, 10 ** 5, blocks * CHUNK)))
             cwio.write_trace(path, Trace(start=coloring_of([0] * 10 ** 5), moves=moves))
+            Path(path).write_bytes(Path(path).read_bytes().replace(b"\n", end))
             tracemalloc.start()
             try:
                 rows = sum(len(block) for block in cwio.iter_trace_moves(path))

@@ -1,6 +1,6 @@
 """Differential tests: the block readers and writers of ``colorwalk.io``
 against the per-line readers and writers they replaced (``io_reference``),
-with CHUNK at 1, 3 and its default.
+with CHUNK and the reader's READ_BYTES each at 1, 3 and its default.
 
 The reader inputs are small graph, trace, coloring and partition files
 with at most one injected fault. About half are in the plain form the
@@ -13,6 +13,7 @@ file mixes plain blocks with blocks parsed line by line. Both sides must return 
 fail at the same line with the same message; a streamed trace must also
 yield the same moves before it fails."""
 
+import itertools
 import os
 import tempfile
 
@@ -197,17 +198,21 @@ def test_pinned_files_match_line_readers(kind, text):
 
 def same_as_line_readers(kind, text, n):
     """The block readers give the line readers' results on ``text``, with
-    CHUNK at 1, 3 and its default; ``n`` is a trace's start size."""
+    CHUNK at 1, 3 and its default, each with READ_BYTES at 1, 3 and its
+    default, so a read may end in a ``\r`` or split a ``\r\n``; ``n`` is a
+    trace's start size."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.txt")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         want = results(ref, kind, path, n)
-        for chunk in (1, 3, None):
+        for chunk, read_bytes in itertools.product((1, 3, None), (1, 3, None)):
             with pytest.MonkeyPatch.context() as mp:
                 if chunk is not None:
                     mp.setattr(cwio, "CHUNK", chunk)
-                assert results(cwio, kind, path, n) == want
+                if read_bytes is not None:
+                    mp.setattr(cwio, "READ_BYTES", read_bytes)
+                assert results(cwio, kind, path, n) == want, (chunk, read_bytes)
 
 
 # values at the int32 and int64 bounds, for the columns that hold them

@@ -26,7 +26,10 @@ degrees share their integer part, option values out of range
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
 than one block of lines, a class index beyond int32, and column files
-shorter or longer than the graph. The manifest has one block per command (its
+shorter or longer than the graph. Other line ends: a graph with bare-CR
+line ends, a graph whose header ends in a bare CR before a faulty LF
+line, and the trace with a bad line after more than one block again with
+CRLF and with bare-CR line ends. The manifest has one block per command (its
 arguments, exit code, stdout and stderr), then the sha256 of every file
 in DIR.
 """
@@ -77,6 +80,8 @@ FIXTURES["band2000.txt"], FIXTURES["band2000_p.txt"] = _id_ordered(
     BAND_N, [(u, v) for u in range(BAND_N) for v in range(u + 1, min(BAND_N, u + BAND_WIDTH + 1))],
     [v % (BAND_WIDTH + 1) for v in range(BAND_N)])
 
+LONG_THEN_NONINT = f"3 {LONG + 1}\n" + "0 2\n0 0\n" * (LONG // 2) + "0 x\n"
+
 # (name, reader, content): one file per reader and fault kind
 MALFORMED = [
     ("empty", "graph", ""),
@@ -100,6 +105,8 @@ MALFORMED = [
     ("tokens", "graph", "+3 \t2\r\n0 0_1\n ١ 2 \n"),
     ("19-digit", "graph", f"3 2\n0 1\n1 {DIGITS19}\n"),
     ("no-final-newline", "graph", "3 2\n0 1\n1 2"),
+    ("cr", "graph", "3 2\r0 1\r1 2\r"),
+    ("header-cr-then-nonint", "graph", "3 2\r0 1\n1 x\n"),
     ("fields", "coloring", "0\n1 1\n0\n"),
     ("nonint", "coloring", "0\n1.5\n0\n"),
     ("blank", "coloring", "0\n\n1\n0\n"),
@@ -143,7 +150,9 @@ MALFORMED = [
     ("non-utf8", "trace", b"3 2\n0 2\n2 \xff\n"),
     ("tokens", "trace", "3 2\r\n+0\t2\n ٢ 0_2 \n"),
     ("19-digit", "trace", f"3 2\n0 2\n2 {DIGITS19}\n"),
-    ("long-then-nonint", "trace", f"3 {LONG + 1}\n" + "0 2\n0 0\n" * (LONG // 2) + "0 x\n"),
+    ("long-then-nonint", "trace", LONG_THEN_NONINT),
+    ("long-then-nonint-crlf", "trace", LONG_THEN_NONINT.replace("\n", "\r\n")),
+    ("long-then-nonint-cr", "trace", LONG_THEN_NONINT.replace("\n", "\r")),
 ]
 
 
