@@ -101,7 +101,8 @@ def is_proper(g: Graph, c: Coloring) -> bool:
         raise ValueError(f"coloring length {c.n} does not match n={g.n}")
     colors = c.colors
     for lo in range(0, g.m, CHUNK):
-        if np.any(colors[g.edge_u[lo:lo + CHUNK]] == colors[g.edge_v[lo:lo + CHUNK]]):
+        if np.any(np.take(colors, g.edge_u[lo:lo + CHUNK])
+                  == np.take(colors, g.edge_v[lo:lo + CHUNK])):
             return False
     return True
 
@@ -183,7 +184,7 @@ def _check_pass(g: Graph, colors: np.ndarray, v: np.ndarray, c: np.ndarray,
     # colors are >= 0, so a negative value marks a mover; a pass that
     # passes writes every mover's new color below
     colors[moved] = ~np.arange(moved.shape[0])
-    held = colors[u]
+    held = np.take(colors, u)
     del u
     hit = np.flatnonzero(held < 0)  # entries whose vertex moves in the pass
     mover = ~held[hit].astype(np.int32)

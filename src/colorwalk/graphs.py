@@ -373,7 +373,8 @@ class PlantedInstance:
         g, part = self.graph, self.partition
         if g.n != part.n:
             raise ValueError("graph and partition sizes differ")
-        if bool(np.any(part.class_of[g.edge_u] == part.class_of[g.edge_v])):
+        class_of = part.class_of
+        if bool(np.any(np.take(class_of, g.edge_u) == np.take(class_of, g.edge_v))):
             raise ValueError("planted instance has an edge inside a color class")
 
     @property
@@ -438,7 +439,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
         raise ValueError("vertex out of range")
     in_s = np.zeros(g.n, dtype=bool)
     in_s[vmap] = True
-    keep = in_s[g.edge_u] & in_s[g.edge_v]
+    keep = np.take(in_s, g.edge_u) & np.take(in_s, g.edge_v)
     lu = np.searchsorted(vmap, g.edge_u[keep])
     lv = np.searchsorted(vmap, g.edge_v[keep])
     k = int(vmap.size)
@@ -449,12 +450,14 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
 
 def count_edges_within(g: Graph, vertices) -> int:
     """Number of edges with both endpoints in ``vertices``."""
-    in_s = np.zeros(g.n, dtype=bool)
     idx = np.asarray(vertices, dtype=np.int64)
     if idx.size == 0:
         return 0
+    if idx.min() < 0 or idx.max() >= g.n:
+        raise ValueError("vertex out of range")
+    in_s = np.zeros(g.n, dtype=bool)
     in_s[idx] = True
-    return int(np.count_nonzero(in_s[g.edge_u] & in_s[g.edge_v]))
+    return int(np.count_nonzero(np.take(in_s, g.edge_u) & np.take(in_s, g.edge_v)))
 
 
 # a peel pass that would remove fewer vertices than this (at least 1) hands
@@ -514,7 +517,7 @@ def degeneracy_order(g: Graph) -> tuple[int, np.ndarray]:
         removed[batch] = True
         peel.append(batch)
         _, u = _gather(g, batch)
-        u = u[~removed[u]]
+        u = u[~np.take(removed, u)]
         np.subtract.at(deg, u, 1)
         touched = _distinct(u)
         batch = touched[deg[touched] <= delta]
@@ -647,10 +650,13 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
     holds MIS_FIRST_WINDOW ranks, and each next one twice as many as the
     last, up to MIS_WINDOW. Inside a window, a vertex joins once no
     undecided window neighbor has a lower rank; the joiners and their
-    neighbors are decided, and passes repeat until the whole window is. Lower ranks outside the window were decided
-    by earlier windows, so the joiners are exactly the walk's takes, in
-    rank order. A free vertex stops being free at the first take in its
-    closed neighborhood, which gives the free counts.
+    neighbors are decided, and passes repeat until the whole window is.
+    Lower ranks outside the window were decided by earlier windows, so the
+    joiners are exactly the walk's takes, in rank order. A free vertex
+    stops being free at the first take in its closed neighborhood, which
+    gives the free counts. A window gathers its rows' neighbor entries
+    once and keeps only those to free, undecided vertices; the passes and
+    the free counts read that subset.
 
     Few passes suffice when the order is unrelated to the edges. An order
     that follows them chains the ranks: on a path in id order each pass
@@ -685,13 +691,18 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
         if chained:
             joined = np.zeros(window.shape[0], dtype=bool)
             joined[rank[_walk(g, window[live], dead)] - lo] = True
-            row, u = _gather(g, window[joined])
-            src = np.flatnonzero(joined)[row]
-            ru = rank[u]
+            rows = np.flatnonzero(joined)
         else:
-            row, u = _gather(g, window[live])
-            src = live[row]  # window positions, rank - lo
-            ru = rank[u]
+            rows = live
+        row, u = _gather(g, window[rows])
+        # np.take reads through int32 indices about twice as fast as rank[u]
+        ru = np.take(rank, u)
+        # only entries to free, undecided vertices matter below: the rest
+        # are dropped once, before any pass over the entries
+        keep = np.flatnonzero(ru <= r)
+        u, ru = u[keep], ru[keep]
+        src = rows[row[keep]]  # window positions, rank - lo
+        if not chained:
             # each undecided window edge once, from its lower-ranked end
             inner = ru < src + lo
             joined, rest, passes = _rank_rounds(window.shape[0], live,
@@ -701,7 +712,7 @@ def _scan_mis(g: Graph, order: np.ndarray, free: np.ndarray) -> tuple[np.ndarray
                 chained = passes == 1
         takes = window[joined]
         index = np.cumsum(joined) + (t - 1)  # take index of each joiner
-        hit = joined[src] & (ru <= r)
+        hit = joined[src]
         lost = u[hit]  # the joiners' still-free neighbors, one entry per joiner
         # explicit minimum: numpy does not promise which repeated index wins
         np.minimum.at(leave, lost, index[src[hit]])

@@ -86,7 +86,10 @@ def _reads(f) -> Iterator[bytes]:
         cr = b"\r" if piece.endswith(b"\r") else b""
         if b"\r" in piece:  # a plain read skips the slower two-byte search
             piece = piece[:len(piece) - len(cr)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        yield piece
+        # a suspended frame would hold the read until the next one
+        out = [piece]
+        del piece
+        yield out.pop()
     if cr:
         yield b"\n"
 

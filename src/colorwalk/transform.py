@@ -64,7 +64,7 @@ def transform_to_target(g: Graph, sigma: Coloring, tau: Coloring, work_palette,
     is an independent set and no vertex holds its color yet, so the whole
     class can move. The work palette must avoid both sigma's and tau's
     colors, so a walk has exactly 2n moves; identical colorings
-    short-circuit to the empty trace.
+    short-circuit to the empty trace once the palette passes those checks.
     """
     trace, _ = transform_with_report(g, sigma, tau, work_palette, L=L)
     return trace
@@ -78,9 +78,9 @@ def transform_with_report(g: Graph, sigma: Coloring, tau: Coloring, work_palette
         raise ValueError("sigma is not a proper coloring")
     if not is_proper(g, tau):
         raise ValueError("tau is not a proper coloring")
+    pal = _check_work_palette(work_palette, sigma, tau)
     if hamming(sigma, tau) == 0:
         return Trace(start=sigma.copy()), None
-    pal = _check_work_palette(work_palette, sigma, tau)
 
     inst = instance_from_coloring(g, sigma)
     # greedy runs on the class indices 0..k-1, which may share ids with the

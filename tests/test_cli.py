@@ -248,6 +248,20 @@ class TestTransformCommands:
                      "--out-trace", str(tmp_path / "t.txt")])
         assert code == 3
 
+    @pytest.mark.parametrize("palette, message", [
+        ("3,3", "work palette colors must be distinct"),
+        ("3,-4,5", "palette colors must be nonnegative"),
+        ("0,1", "work palette overlaps target colors: [0, 1]")])
+    def test_palette_checked_when_sigma_is_tau(self, tmp_path, capsys, palette, message):
+        (tmp_path / "g.txt").write_text("2 0\n")
+        (tmp_path / "s.txt").write_text("0\n1\n")
+        code = main(["transform", "--graph", str(tmp_path / "g.txt"),
+                     "--sigma", str(tmp_path / "s.txt"), "--tau", str(tmp_path / "s.txt"),
+                     "--work-palette", palette, "--out-trace", str(tmp_path / "t.txt")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.txt").exists()
+
 
 class TestUsageAndErrors:
     def test_unknown_flag_exits_two(self):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,8 @@ from colorwalk import (InfeasibleError, balanced_partition, build_graph,
                        gen_planted_m, gen_planted_p, greedy_mis,
                        gen_planted, induced_subgraph,
                        partition_from_class_of, random_partition)
-from colorwalk import graphs
+from colorwalk import coloring, graphs
+from colorwalk.coloring import coloring_of, is_proper
 from colorwalk.graphs import min_internal_pairs
 from gen_reference import reference_decode_tri
 
@@ -301,6 +303,67 @@ class TestCountEdgesWithin:
     def test_cycle_prefix(self):
         c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert count_edges_within(c5, [0, 1, 2]) == 2
+
+    @pytest.mark.parametrize("vertices", [[-1, 1], [1, 3], [0, 2**40]])
+    def test_rejects_out_of_range(self, vertices):
+        # without the check -1 would wrap to vertex 2 and count the edge 1-2
+        g = build_graph(3, [(1, 2)])
+        with pytest.raises(ValueError, match="vertex out of range"):
+            count_edges_within(g, vertices)
+
+
+@st.composite
+def graph_and_vertices(draw):
+    """(graph, its edges, a vertex list) with n <= 40; the list may be
+    unsorted, hold repeats, be empty or hold every vertex."""
+    n = draw(st.integers(0, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=min(len(pairs), 150))) if pairs else []
+    kind = draw(st.sampled_from(["list", "empty", "full"]))
+    vertices = []
+    if n and kind == "list":
+        vertices = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    elif kind == "full":  # every vertex, shuffled, then some again
+        vertices = draw(st.permutations(range(n))) + draw(
+            st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([]))
+    return build_graph(n, edges), edges, vertices
+
+
+class TestGathersAgainstLoops:
+    """``induced_subgraph``, ``count_edges_within`` and ``is_proper``
+    against loops over the edges one at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_vertices())
+    def test_induced_subgraph(self, case):
+        g, edges, vertices = case
+        sub, vmap = induced_subgraph(g, vertices)
+        members = sorted(set(vertices))
+        assert vmap.tolist() == members and sub.n == len(members)
+        local = {v: i for i, v in enumerate(members)}
+        want = sorted((local[u], local[v]) for u, v in edges if u in local and v in local)
+        assert list(zip(sub.edge_u.tolist(), sub.edge_v.tolist())) == want
+        assert graph_invariants_ok(sub)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_vertices())
+    def test_count_edges_within(self, case):
+        g, edges, vertices = case
+        members = set(vertices)
+        want = sum(1 for u, v in edges if u in members and v in members)
+        assert count_edges_within(g, vertices) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_vertices(), st.data())
+    def test_is_proper(self, case, data):
+        g, edges, _ = case
+        k = data.draw(st.integers(1, 6))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+        chunk = data.draw(st.sampled_from([1, 2, 3, 7, coloring.CHUNK]))
+        want = all(colors[u] != colors[v] for u, v in edges)
+        with mock.patch.object(coloring, "CHUNK", chunk):  # blocks end anywhere
+            assert is_proper(g, coloring_of(colors, k)) is want
 
 
 class TestDegeneracy:

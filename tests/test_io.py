@@ -1,3 +1,4 @@
+import io
 import os
 import tracemalloc
 from pathlib import Path
@@ -275,6 +276,16 @@ class TestBlockReader:
             fed.result(timeout=60)
         for x, y in zip(piped, self.READERS["graph"](plain)):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("data", [b"0 1\n" * 100_000, b"0 1\r\n" * 100_000],
+                             ids=["lf", "crlf"])
+    def test_suspended_reader_holds_no_read(self, data):
+        """Between two reads the suspended ``_reads`` frame holds no
+        reference to the read it yielded, so a block carved from it frees
+        the read."""
+        reads = cwio._reads(io.BytesIO(data))
+        for piece in reads:
+            assert all(value is not piece for value in reads.gi_frame.f_locals.values())
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_streaming_memory_is_one_block(self, tmp_path, end):

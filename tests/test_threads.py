@@ -1,9 +1,11 @@
 """Library calls keep their state in locals, so the same calls give the same
 results run one after another or on threads at once: the verifier (on
 arrays and on move blocks, valid and failing), ``is_proper``, the greedy
-recolor with each selector and the transform."""
+recolor with each selector, the transform, ``induced_subgraph``,
+``degeneracy_order`` and the file writers."""
 
 import dataclasses
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 from colorwalk import Coloring, Trace, gen_planted, is_proper, verify_trace
+from colorwalk import io as cwio
 from colorwalk.coloring import CHUNK, REASON_MONOCHROMATIC, REASON_NOOP
+from colorwalk.graphs import degeneracy_order, induced_subgraph
 from colorwalk.greedy import SELECTORS, run_greedy_recolor
 from colorwalk.transform import transform_with_report
 
@@ -112,3 +116,37 @@ def test_transform():
         tau = Coloring((inst.sigma.colors + 1) % 8, 8)
         return transform_with_report(inst.graph, inst.sigma, tau, list(range(8, 24)))
     serial_equals_threaded(walk, [(seed,) for seed in SEEDS])
+
+
+def test_induced_subgraph():
+    def sub(seed):
+        inst = instance(seed)
+        return induced_subgraph(inst.graph, np.flatnonzero(inst.partition.class_of < 3))
+    serial_equals_threaded(sub, [(seed,) for seed in SEEDS])
+
+
+def test_degeneracy_order():
+    def order(seed):
+        inst = instance(seed)
+        return degeneracy_order(induced_subgraph(inst.graph, np.arange(0, 20_000, 2))[0])
+    serial_equals_threaded(order, [(seed,) for seed in SEEDS])
+
+
+@pytest.mark.parametrize("writer", ["graph", "trace", "coloring", "partition"])
+def test_writers(tmp_path, writer):
+    """Each call writes its own file and returns its bytes."""
+    calls = itertools.count()
+
+    def write(seed):
+        inst = instance(seed)
+        path = tmp_path / f"{writer}-{next(calls)}.txt"
+        if writer == "graph":
+            cwio.write_graph(str(path), inst.graph)
+        elif writer == "trace":
+            cwio.write_trace(str(path), run_greedy_recolor(inst).trace)
+        elif writer == "coloring":
+            cwio.write_coloring(str(path), inst.sigma)
+        else:
+            cwio.write_partition(str(path), inst.partition)
+        return path.read_bytes()
+    serial_equals_threaded(write, [(seed,) for seed in SEEDS[:3]])

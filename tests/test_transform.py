@@ -84,6 +84,17 @@ class TestTransformToTarget:
         with pytest.raises(PaletteError, match="start"):
             transform_to_target(g, coloring_of([0, 0], 5), coloring_of([1, 1], 5), [0, 3])
 
+    @pytest.mark.parametrize("palette, match", [([3, 3], "distinct"),
+                                                ([3, -4, 5], "nonnegative"),
+                                                ([0, 1], "target")])
+    def test_work_palette_checked_when_sigma_is_tau(self, palette, match):
+        # the empty walk needs no work colors, but a faulty palette is
+        # refused as it would be for any other target
+        g = build_graph(4, [(0, 1)])
+        c = coloring_of([0, 1, 0, 0])
+        with pytest.raises(PaletteError, match=match):
+            transform_to_target(g, c, c, palette)
+
     def test_improper_input_rejected(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):

@@ -30,9 +30,9 @@ def reference_transform_with_report(g, sigma, tau, work_palette, L=None):
         raise ValueError("sigma is not a proper coloring")
     if not is_proper(g, tau):
         raise ValueError("tau is not a proper coloring")
+    pal = _check_work_palette(work_palette, sigma, tau)
     if hamming(sigma, tau) == 0:
         return Trace(start=sigma.copy(), moves=[]), None
-    pal = _check_work_palette(work_palette, sigma, tau)
 
     inst = instance_from_coloring(g, sigma)
     k = inst.partition.q  # greedy colors with stand-in k + i for pal[i]

@@ -22,7 +22,8 @@ of width 8 numbered along their edges (the band's residual has
 degeneracy 8, so its first fit runs nine chained scans), params at d = 2
 (below e, where q0 is undefined), a fractional --d-sweep and one whose two
 degrees share their integer part, option values out of range
-(a palette color beyond int64, an infinite --d), one malformed file
+(a palette color beyond int64, an infinite --d), faulty work palettes
+for a transform whose start is its target, one malformed file
 per reader and fault kind, and files in the plain one-space form up to an
 unusual spot: a 19-digit value, no final newline, a bad line after more
 than one block of lines, a class index beyond int32, and column files
@@ -264,6 +265,10 @@ def pipeline(work: Path) -> list:
                                                  "--sigma", "c.txt", "--tau", "tau.txt",
                                                  "--work-palette", f"5,6,7,8,9,10,11,{HUGE}",
                                                  "--out-trace", "tt_huge.txt"]),
+        *[(f"transform-same-{tag}-palette", ["transform", "--graph", "g.txt", "--sigma", "c.txt",
+                                             "--tau", "c.txt", "--work-palette", pal,
+                                             "--out-trace", f"tt_same_{tag}.txt"])
+          for tag, pal in [("repeated", "5,5"), ("negative", "5,-4,6"), ("overlap", "0,1")]],
         ("connect", ["connect", "--graph", "g.txt", "--sigma", "c.txt",
                      "--sigma-prime", "c2.txt", "--tau", "tau.txt",
                      "--work-palette", "5,6,7,8,9,10,11,12", "--out-trace", "tc.txt",
