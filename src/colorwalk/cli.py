@@ -38,18 +38,18 @@ def _parse_palette(text: str) -> list[int]:
     return values
 
 
-def _parse_degree(text: str) -> float:
+def _parse_finite(text: str, what: str = "degree") -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"degree must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what} must be finite, got {text!r}")
     return value
 
 
 def _parse_degree_list(text: str) -> list[float]:
-    return [_parse_degree(x) for x in text.split(",") if x.strip() != ""]
+    return [_parse_finite(x) for x in text.split(",") if x.strip() != ""]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("model", choices=["gnm", "gnp", "planted"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int)
-    g.add_argument("--d", type=_parse_degree)
-    g.add_argument("--p", type=float)
+    g.add_argument("--d", type=_parse_finite)
+    g.add_argument("--p", type=lambda text: _parse_finite(text, "p"))
     g.add_argument("--q", type=int)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--planted-model", choices=["m", "p"], default="m")
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("params", help="print derived parameters")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--m", type=int)
-    pr.add_argument("--d", type=_parse_degree)
+    pr.add_argument("--d", type=_parse_finite)
     pr.add_argument("--q", type=int, required=True)
     pr.add_argument("--partition", help="partition file; balanced split assumed otherwise")
 
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="seeded statistical campaigns")
     e.add_argument("kind", choices=EXPERIMENT_KINDS)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--d", type=_parse_degree, required=True)
+    e.add_argument("--d", type=_parse_finite, required=True)
     e.add_argument("--q", type=int)
     e.add_argument("--trials", type=int, default=1)
     e.add_argument("--seed", type=int, required=True)
@@ -212,7 +212,7 @@ def _report_items(report) -> list[tuple[str, object]]:
         ("d_hat", params.d_hat),
         ("p_hat", params.p_hat),
         ("k_core_bound", params.k_core_bound),
-        ("formula_residual_budget", report.formula_residual_budget()),
+        ("formula_residual_budget", params.formula_residual_budget),
         ("trace_moves", len(report.trace.moves)),
     ]
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .graphs import (Graph, _check_n, balanced_partition, count_edges_within, gen_gnm,
-                     gen_planted_p, greedy_mis, random_partition)
+from .graphs import (Graph, Partition, _check_n, balanced_partition, count_edges_within,
+                     gen_gnm, gen_planted_p, greedy_mis, random_partition)
 from .greedy import derive_params, run_greedy_recolor, simulate_recurrence
-from .io import _atomic_write, _fmt
+from .io import write_csv, write_records
 from .rng import derive_seed, derived_rng
 
 
@@ -64,27 +64,16 @@ class ExperimentReport:
     def summary_dict(self) -> dict:
         return dict(self.summary)
 
-    def csv_lines(self):
-        yield ",".join(self.schema)
-        for row in self.rows:
-            yield ",".join(_fmt(x) for x in row)
-        for key, value in self.summary:
-            yield f"summary,{key},{_fmt(value)}"
-
-    def record_lines(self):
-        yield f"experiment={self.name}"
-        for row in self.rows:
-            prefix = f"trial.{row[0]}"
-            for col, value in zip(self.schema[1:], row[1:]):
-                yield f"{prefix}.{col}={_fmt(value)}"
-        for key, value in self.summary:
-            yield f"summary.{key}={_fmt(value)}"
-
     def write(self, path: str, fmt: str = "csv") -> None:
         if fmt == "csv":
-            _atomic_write(path, self.csv_lines())
+            write_csv(path, self.schema, [
+                *self.rows, *(["summary", key, value] for key, value in self.summary)])
         elif fmt == "records":
-            _atomic_write(path, self.record_lines())
+            write_records(path, [
+                ("experiment", self.name),
+                *((f"trial.{row[0]}.{col}", value) for row in self.rows
+                  for col, value in zip(self.schema[1:], row[1:])),
+                *((f"summary.{key}", value) for key, value in self.summary)])
         else:
             raise ValueError(f"unknown format {fmt!r}")
 
@@ -99,6 +88,14 @@ def _run_trials(cfg: ExperimentConfig, worker, payload) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, [(payload, i) for i in indices]))
     return [worker((payload, i)) for i in indices]
+
+
+def _planted_p(part: Partition, m: int, seed: int):
+    """(instance, params): the planted instance on ``part`` that takes each
+    cross pair with the probability p_hat of m edges, and the
+    ``DerivedParams`` that p_hat comes from."""
+    params = derive_params(part.n, m, part.q, part.cross_pair_count())
+    return gen_planted_p(part, params.p_hat, seed), params
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,8 @@ def _density_trial(args):
             _, _, ok = subset_density_check(g, subset, cfg.d)
             violations += not ok
     # residual set of a full greedy run on a planted instance
-    inst = _planted_phat_instance(cfg, i)
+    part = random_partition(cfg.n, cfg.q, cfg.edge_count, derive_seed(cfg.seed, i, 2))
+    inst, _ = _planted_p(part, cfg.edge_count, derive_seed(cfg.seed, i, 3))
     report = run_greedy_recolor(inst)
     u_ok = report.residual_size <= report.l_used
     k_bound = report.params.k_core_bound
@@ -226,17 +224,10 @@ def run_density_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # coupling: run trajectories vs the binomial-decay recurrence
 
 
-def _planted_phat_instance(cfg: ExperimentConfig, i: int):
-    part = random_partition(cfg.n, cfg.q, cfg.edge_count, derive_seed(cfg.seed, i, 2))
-    params = derive_params(cfg.n, cfg.edge_count, cfg.q, part.cross_pair_count())
-    return gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 3))
-
-
 def _coupling_trial(args):
     cfg, i = args
-    inst = _planted_phat_instance(cfg, i)
-    params = derive_params(cfg.n, cfg.edge_count, cfg.q,
-                           inst.partition.cross_pair_count())
+    part = random_partition(cfg.n, cfg.q, cfg.edge_count, derive_seed(cfg.seed, i, 2))
+    inst, params = _planted_p(part, cfg.edge_count, derive_seed(cfg.seed, i, 3))
     report = run_greedy_recolor(inst, L=cfg.l_override)
     recur = simulate_recurrence(cfg.n, params.p_hat, derive_seed(cfg.seed, i, 4))
     pool1 = report.round_pools[0] if report.round_pools else [cfg.n]
@@ -329,8 +320,7 @@ def _scaling_trial(args):
     # ratio, so no two swept degrees share a stream
     key = (int(d),) if d.is_integer() else d.as_integer_ratio()
     part = balanced_partition(n, q, derive_seed(cfg.seed, i, 5, *key))
-    params = derive_params(n, m, q, part.cross_pair_count())
-    inst = gen_planted_p(part, params.p_hat, derive_seed(cfg.seed, i, 6, *key))
+    inst, params = _planted_p(part, m, derive_seed(cfg.seed, i, 6, *key))
     report = run_greedy_recolor(inst)
     ratio = report.total_colors * math.log(d) / d
     # the asymptotic per-round lower bound; negative at desk-scale degrees

@@ -30,8 +30,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of ``a``, sorted: ``np.unique`` by one sort.
     numpy 2.4's ``np.unique`` hashes int64 input, which took 0.2 s where
     this takes 4 ms on 0.46M distinct vertex ids (2-vCPU x86 host)."""
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.shape[0] else s
+    return _dedupe_sorted(np.sort(a))
 
 
 def _check_n(n: int) -> None:
@@ -373,8 +372,8 @@ class PlantedInstance:
         g, part = self.graph, self.partition
         if g.n != part.n:
             raise ValueError("graph and partition sizes differ")
-        class_of = part.class_of
-        if bool(np.any(np.take(class_of, g.edge_u) == np.take(class_of, g.edge_v))):
+        from .coloring import is_proper
+        if not is_proper(g, self.sigma):
             raise ValueError("planted instance has an edge inside a color class")
 
     @property
@@ -437,14 +436,14 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     vmap = _distinct(np.asarray(vertices, dtype=np.int64).reshape(-1))
     if vmap.size and (vmap[0] < 0 or vmap[-1] >= g.n):
         raise ValueError("vertex out of range")
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[vmap] = True
-    keep = np.take(in_s, g.edge_u) & np.take(in_s, g.edge_v)
-    lu = np.searchsorted(vmap, g.edge_u[keep])
-    lv = np.searchsorted(vmap, g.edge_v[keep])
+    keep = _inner_edges(g, vmap)
     k = int(vmap.size)
-    codes = lu.astype(np.int64) * k + lv
-    codes.sort()
+    local = np.empty(g.n, dtype=np.int64)
+    local[vmap] = np.arange(k)
+    # the relabelling is monotone, so canonical edges stay canonical and
+    # their codes stay ascending
+    codes = np.take(local, g.edge_u[keep]) * k
+    codes += np.take(local, g.edge_v[keep])
     return _graph_from_sorted_codes(k, codes), vmap
 
 
@@ -455,9 +454,14 @@ def count_edges_within(g: Graph, vertices) -> int:
         return 0
     if idx.min() < 0 or idx.max() >= g.n:
         raise ValueError("vertex out of range")
+    return int(np.count_nonzero(_inner_edges(g, idx)))
+
+
+def _inner_edges(g: Graph, vertices: np.ndarray) -> np.ndarray:
+    """Mask of the edges with both ends in ``vertices``, which are in range."""
     in_s = np.zeros(g.n, dtype=bool)
-    in_s[idx] = True
-    return int(np.count_nonzero(np.take(in_s, g.edge_u) & np.take(in_s, g.edge_v)))
+    in_s[vertices] = True
+    return np.take(in_s, g.edge_u) & np.take(in_s, g.edge_v)
 
 
 # a peel pass that would remove fewer vertices than this (at least 1) hands

@@ -31,7 +31,9 @@ class DerivedParams:
     n_q is the exact cross-class pair count, d_hat = m*n/n_q the effective
     average degree of the independent-pair model, p_hat = d_hat/n its pair
     probability. l_cutoff is the residual threshold n/ln^2(d_hat), clamped
-    to [0, n], and k_core_bound = 2*d_hat/ln^2(d_hat) + 1. q0 (the color
+    to [0, n], k_core_bound = 2*d_hat/ln^2(d_hat) + 1, and
+    formula_residual_budget = d_hat/ln^2(d_hat) + 2 the closed-form residual
+    color budget (a run budgets from the measured degeneracy). q0 (the color
     budget the construction is compared against) exists only when q > 1,
     d > e and ln d > 7 ln ln d; q0_note says why it is absent otherwise.
     Natural logarithms throughout.
@@ -46,6 +48,7 @@ class DerivedParams:
     p_hat: float
     l_cutoff: int
     k_core_bound: float
+    formula_residual_budget: float
     q0: float | None
     q0_note: str | None
 
@@ -72,10 +75,12 @@ def derive_params(n: int, m: int, q: int, n_q: int) -> DerivedParams:
         log2 = math.log(d_hat) ** 2
         l_cutoff = min(math.ceil(n / log2), n)
         k_core_bound = 2 * d_hat / log2 + 1
+        formula_residual_budget = d_hat / log2 + 2
     else:
         # ln^2 is zero or meaningless here; only the residual pass makes sense
         l_cutoff = n
         k_core_bound = math.inf if d_hat == 1.0 else 1.0
+        formula_residual_budget = math.inf if d_hat == 1.0 else 2.0
 
     q0 = None
     q0_note = None
@@ -95,6 +100,7 @@ def derive_params(n: int, m: int, q: int, n_q: int) -> DerivedParams:
             q0 = q / (q - 1) * d / denom
     return DerivedParams(n=n, m=m, q=q, d=d, n_q=n_q, d_hat=d_hat, p_hat=p_hat,
                          l_cutoff=l_cutoff, k_core_bound=k_core_bound,
+                         formula_residual_budget=formula_residual_budget,
                          q0=q0, q0_note=q0_note)
 
 
@@ -136,13 +142,6 @@ class GreedyReport:
     @property
     def trajectory(self) -> np.ndarray:
         return np.arange(self.params.n, self.residual_size - 1, -1, dtype=np.int64)
-
-    def formula_residual_budget(self) -> float:
-        """Closed-form residual color budget, d_hat/ln^2(d_hat) + 2; the run
-        itself budgets from the measured degeneracy instead."""
-        if self.params.d_hat <= 1.0:
-            return math.inf if self.params.d_hat == 1.0 else 2.0
-        return self.params.d_hat / math.log(self.params.d_hat) ** 2 + 2
 
 
 def _check_palette(palette, sigma_colors: np.ndarray, q: int) -> None:

@@ -20,18 +20,18 @@ from .rng import make_rng
 ENUMERATION_CAP = 10 ** 8
 
 
-def enumerate_colorings(g: Graph, q: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def enumerate_colorings(g: Graph, q: int) -> list[tuple[int, ...]]:
     """All proper q-colorings of g in lexicographic order.
 
     Backtracking over vertices 0..n-1 with ascending colors, pruning any
     partial assignment that already clashes with a lower-indexed neighbor.
-    The cap guards the raw q**n assignment space.
+    ENUMERATION_CAP guards the raw q**n assignment space.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
     n = g.n
-    if q ** max(n, 1) > cap:
-        raise CapError(f"q^n = {q}^{n} exceeds enumeration cap {cap}")
+    if q ** max(n, 1) > ENUMERATION_CAP:
+        raise CapError(f"q^n = {q}^{n} exceeds enumeration cap {ENUMERATION_CAP}")
     if n == 0:
         return [()]
     back_nbrs = [g.neighbors(v)[g.neighbors(v) < v].tolist() for v in range(n)]
@@ -77,15 +77,13 @@ class HqGraph:
         return int(self.component_id[self.index[coloring]])
 
 
-def build_hq(colorings: list[tuple[int, ...]], q: int | None = None) -> HqGraph:
+def build_hq(colorings: list[tuple[int, ...]], q: int) -> HqGraph:
     """Assemble the solution-space graph from an enumerated coloring list.
 
     Neighbors are generated by mutating one vertex at a time and looking
     the result up, so the cost is Z * n * q rather than Z^2. Components
     come from a breadth-first sweep over the same neighbor generator.
     """
-    if q is None:
-        q = 1 + max((max(c) for c in colorings if c), default=-1)
     index = {c: i for i, c in enumerate(colorings)}
     if len(index) != len(colorings):
         raise ValueError("duplicate colorings in input")
@@ -122,8 +120,8 @@ def build_hq(colorings: list[tuple[int, ...]], q: int | None = None) -> HqGraph:
                    component_id=component_id, index=index)
 
 
-def enumerate_hq(g: Graph, q: int, cap: int = ENUMERATION_CAP) -> HqGraph:
-    return build_hq(enumerate_colorings(g, q, cap), q)
+def enumerate_hq(g: Graph, q: int) -> HqGraph:
+    return build_hq(enumerate_colorings(g, q), q)
 
 
 def giant_fraction(h: HqGraph) -> float:
@@ -133,10 +131,9 @@ def giant_fraction(h: HqGraph) -> float:
     return max(h.component_sizes()) / h.z_q
 
 
-def sample_uniform_coloring(g: Graph, q: int, seed: int,
-                            cap: int = ENUMERATION_CAP) -> Coloring:
+def sample_uniform_coloring(g: Graph, q: int, seed: int) -> Coloring:
     """Uniformly random proper q-coloring via full enumeration."""
-    colorings = enumerate_colorings(g, q, cap)
+    colorings = enumerate_colorings(g, q)
     if not colorings:
         raise InfeasibleError("no proper colorings (Z_q = 0)")
     rng = make_rng(seed)

@@ -547,6 +547,19 @@ class TestUsageAndErrors:
         assert "internal:" not in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_p_exits_two(self, tmp_path, capsys, value):
+        out = tmp_path / "g.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "gnp", "--n", "10", "--p", value, "--seed", "1",
+                  "--out-graph", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"colorwalk gen: error: argument --p: p must be finite, got '{value}'"]
+        assert not out.exists()
+
     def test_infeasible_exits_three(self, tmp_path):
         code = main(["gen", "planted", "--n", "6", "--q", "1", "--m", "1",
                      "--seed", "1", "--out-graph", str(tmp_path / "g.txt")])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from colorwalk import InfeasibleError, build_graph, experiments, gen_gnm
-from colorwalk.experiments import (ExperimentConfig, mis_bound,
+from colorwalk.experiments import (ExperimentConfig, ExperimentReport, mis_bound,
                                    per_round_pool_bound,
                                    pointwise_median_dominance,
                                    run_coupling_experiment,
@@ -205,6 +205,34 @@ class TestReportFormats:
         assert "experiment=mis" in text
         assert "trial.0.mis_size=" in text
         assert "summary.fraction_meeting_bound=" in text
+
+    # an int, a float, a bool and an inactive bound, as the experiments write them
+    REPORT = ExperimentReport(
+        name="demo", schema=["trial", "size", "bound", "met", "per_round_bound"],
+        rows=[[0, 7, 2.5, True, "inactive"], [1, 3, 0.1, False, "inactive"]],
+        summary=[("trials", 2), ("fraction_met", 0.5)])
+
+    def test_csv_bytes(self, tmp_path):
+        out = tmp_path / "r.csv"
+        self.REPORT.write(str(out))
+        assert out.read_bytes() == (
+            b"trial,size,bound,met,per_round_bound\n"
+            b"0,7,2.5,1,inactive\n"
+            b"1,3,0.1,0,inactive\n"
+            b"summary,trials,2\n"
+            b"summary,fraction_met,0.5\n")
+
+    def test_records_bytes(self, tmp_path):
+        out = tmp_path / "r.txt"
+        self.REPORT.write(str(out), "records")
+        assert out.read_bytes() == (
+            b"experiment=demo\n"
+            b"trial.0.size=7\ntrial.0.bound=2.5\ntrial.0.met=1\n"
+            b"trial.0.per_round_bound=inactive\n"
+            b"trial.1.size=3\ntrial.1.bound=0.1\ntrial.1.met=0\n"
+            b"trial.1.per_round_bound=inactive\n"
+            b"summary.trials=2\n"
+            b"summary.fraction_met=0.5\n")
 
     def test_jobs_parallel_matches_serial(self):
         cfg1 = ExperimentConfig(name="mis", n=500, d=100.0, trials=3, seed=8, jobs=1)

@@ -249,6 +249,23 @@ class TestPlanted:
         from colorwalk import is_proper
         assert is_proper(inst.graph, inst.sigma)
 
+    def test_edge_inside_a_class_rejected(self):
+        with pytest.raises(ValueError, match="edge inside a color class"):
+            graphs.PlantedInstance(graph=build_graph(3, [(1, 2), (0, 1)]),
+                                   partition=partition_from_class_of([0, 1, 1]))
+
+    def test_check_scratch_does_not_grow_with_m(self):
+        # the check reads the edges CHUNK at a time; gathering both class
+        # arrays over all edges at once held 16 bytes per edge, 7.6 MiB here
+        inst = gen_planted(20_000, 20, 500_000, seed=9)
+        tracemalloc.start()
+        try:
+            graphs.PlantedInstance(graph=inst.graph, partition=inst.partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_planted_p_extremes(self):
         part = partition_from_class_of([0, 1])
         inst = gen_planted_p(part, 1.0, seed=1)

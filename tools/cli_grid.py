@@ -13,24 +13,25 @@ parent, run the script once with each version's ``src`` on ``PYTHONPATH``
 and diff the two ``DIR/manifest.txt`` files.
 
 The grid covers every subcommand (gen, params, recolor, transform,
-connect, verify, oracle and the four experiments), the generators at the
-edges of their pair decode (n = 2, a complete graph, one vertex per
-planted class, an n beyond int32), a recolor whose partition file names
-class 3,000,000 for one of its two vertices, a recolor whose whole graph
-is residual on a 3,000-vertex path, a 60x60 grid and a 2,000-vertex band
-of width 8 numbered along their edges (the band's residual has
-degeneracy 8, so its first fit runs nine chained scans), params at d = 2
-(below e, where q0 is undefined), a fractional --d-sweep and one whose two
-degrees share their integer part, option values out of range
-(a palette color beyond int64, an infinite --d), faulty work palettes
-for a transform whose start is its target, one malformed file
-per reader and fault kind, and files in the plain one-space form up to an
-unusual spot: a 19-digit value, no final newline, a bad line after more
-than one block of lines, a class index beyond int32, and column files
-shorter or longer than the graph. Other line ends: a graph with bare-CR
-line ends, a graph whose header ends in a bare CR before a faulty LF
-line, and the trace with a bad line after more than one block again with
-CRLF and with bare-CR line ends. The manifest has one block per command (its
+connect, verify, oracle and the four experiments, with mis and coupling
+also in records form), the generators at the edges of their pair decode
+(n = 2, a complete graph, one vertex per planted class, an n beyond
+int32), a recolor whose partition file names class 3,000,000 for one of
+its two vertices, a recolor whose whole graph is residual on a
+3,000-vertex path, a 60x60 grid and a 2,000-vertex band of width 8
+numbered along their edges (the band's residual has degeneracy 8, so its
+first fit runs nine chained scans), params at d = 2 (below e, where q0
+is undefined), a fractional --d-sweep and one whose two degrees share
+their integer part, option values out of range (a palette color beyond
+int64, an infinite --d, a NaN and an infinite --p), faulty work palettes
+for a transform whose start is its target, one malformed file per reader
+and fault kind, and files in the plain one-space form up to an unusual
+spot: a 19-digit value, no final newline, a bad line after more than one
+block of lines, a class index beyond int32, and column files shorter or
+longer than the graph. Other line ends: a graph with bare-CR line ends,
+a graph whose header ends in a bare CR before a faulty LF line, and the
+trace with a bad line after more than one block again with CRLF and with
+bare-CR line ends. The manifest has one block per command (its
 arguments, exit code, stdout and stderr), then the sha256 of every file
 in DIR.
 """
@@ -211,6 +212,9 @@ def pipeline(work: Path) -> list:
                                 "--out-graph", "gnm_huge.txt"]),
         ("gen-d-inf", ["gen", "gnm", "--n", "10", "--d", "inf", "--seed", "9",
                        "--out-graph", "gnm_inf.txt"]),
+        *[(f"gen-gnp-p-{value}", ["gen", "gnp", "--n", "10", "--p", value, "--seed", "10",
+                                  "--out-graph", f"gnp_{value}.txt"])
+          for value in ("nan", "inf")],
         lambda: (shifted(work / "c.txt", work / "tau.txt", 1, 5),
                  shifted(work / "c.txt", work / "c2.txt", 2, 5)),
         ("params", ["params", *planted]),
@@ -288,6 +292,9 @@ def pipeline(work: Path) -> list:
                             "--certify-trace", "k3_t.txt", "--start", "k3_c.txt"]),
         ("experiment-mis", ["experiment", "mis", "--n", "200", "--d", "5", "--trials", "2",
                             "--seed", "1", "--out", "e_mis.csv"]),
+        ("experiment-mis-records", ["experiment", "mis", "--n", "200", "--d", "5",
+                                    "--trials", "2", "--seed", "1", "--format", "records",
+                                    "--out", "e_mis.txt"]),
         ("experiment-density", ["experiment", "density", "--n", "60", "--d", "3", "--q", "3",
                                 "--trials", "2", "--seed", "1", "--subset-samples", "50",
                                 "--out", "e_density.csv"]),
