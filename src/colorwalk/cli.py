@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import io
-from .coloring import Trace, colors_used, verify_trace
+from .coloring import Trace, colors_used, hamming, verify_trace
 from .errors import (CapError, ColorwalkError, FormatError, FreshColorError,
                      InfeasibleError, PaletteError)
 from .graphs import (PlantedInstance, _check_n, _comb2, gen_gnm, gen_gnp,
@@ -245,7 +245,9 @@ def _cmd_transform(args) -> int:
     trace, report = transform_with_report(g, sigma, tau, args.work_palette, L=args.L)
     io.write_trace(args.out_trace, trace)
     if args.out_report:
-        items = [("moves", len(trace.moves))]
+        h = hamming(sigma, tau)
+        items = [("moves", len(trace.moves)), ("hamming", h),
+                 ("detour", len(trace.moves) - h)]
         arith = color_budget_arithmetic(
             args.work_palette, tau, q=max(colors_used(sigma), colors_used(tau)))
         items.extend(sorted(arith.items()))

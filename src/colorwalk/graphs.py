@@ -419,10 +419,9 @@ def gen_planted(n: int, q: int, m: int, seed: int,
     if model == "m":
         return gen_planted_m(part, m, seed + 1)
     if model == "p":
+        # random_partition leaves at least m cross-class pairs, so p_hat <= 1
         nq = part.cross_pair_count()
-        if nq == 0:
-            raise InfeasibleError("no cross-class pairs")
-        p_hat = min(m / nq, 1.0)
+        p_hat = m / nq if nq else 0.0
         return gen_planted_p(part, p_hat, seed + 1)
     raise ValueError(f"unknown planted model {model!r}")
 

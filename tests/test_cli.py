@@ -48,6 +48,14 @@ class TestGenAndVerifyPipeline:
         traj = (tmp_path / "traj.csv").read_text().splitlines()
         assert traj[0] == "t,u_t" and traj[1] == "0,60"
 
+    @pytest.mark.parametrize("model", ["m", "p"])
+    def test_one_class_no_edges(self, tmp_path, model):
+        # one class has no cross-class pairs; with m = 0 both models write
+        # the empty graph (p_hat = 0) rather than refusing the parameters
+        assert main(["gen", "planted", "--n", "5", "--q", "1", "--m", "0", "--seed", "1",
+                     "--planted-model", model, "--out-graph", str(tmp_path / "g.txt")]) == 0
+        assert (tmp_path / "g.txt").read_text() == "5 0\n"
+
     @pytest.mark.parametrize("extra", [[], ["--L", "0"]], ids=["residual", "rounds"])
     def test_recolor_largest_class_index(self, tmp_path, extra):
         # q = 2**31 with two classes present: nothing is built or walked per class
@@ -198,6 +206,11 @@ class TestTransformCommands:
         trace = cwio.read_trace(str(tmp_path / "t.txt"), sigma)
         from colorwalk import apply_trace
         assert apply_trace(g, trace).colors.tolist() == end.colors.tolist()
+        # tau shares no color with sigma, so nothing is threatened, nothing
+        # detours and the report has no greedy items
+        assert (tmp_path / "rep.txt").read_text().splitlines() == [
+            "moves=30", "hamming=30", "detour=0", "fits_in_q=0", "q=3",
+            "target_colors=3", "work_colors=3"]
 
     def test_round_color_equal_to_class_index(self, tmp_path):
         # sigma's classes renumber to 0 and 1, the round colors of palette 0,1
@@ -212,7 +225,9 @@ class TestTransformCommands:
         assert main(["verify", "--graph", str(tmp_path / "g.txt"),
                      "--start", str(tmp_path / "sigma.txt"),
                      "--trace", str(tmp_path / "t.txt")]) == 0
-        assert (tmp_path / "t.txt").read_text() == "3 6\n0 0\n1 1\n2 1\n1 5\n2 5\n0 6\n"
+        # only vertex 0 detours; with round color 0 equal to its class index
+        # it must still leave 5 before vertices 1 and 2 enter it
+        assert (tmp_path / "t.txt").read_text() == "3 4\n0 0\n1 5\n2 5\n0 6\n"
 
     @pytest.mark.parametrize("palette", ["1,0", "7,0,1"])
     def test_palette_below_class_count(self, tmp_path, capsys, palette):
@@ -674,7 +689,9 @@ class TestQ0Note:
         (tmp_path / "g.txt").write_text("30 29\n" + "".join(f"{i} {i + 1}\n"
                                                             for i in range(29)))
         (tmp_path / "c.txt").write_text("".join(f"{i % 2}\n" for i in range(30)))
-        (tmp_path / "tau.txt").write_text("".join(f"{i % 2 + 3}\n" for i in range(30)))
+        # tau swaps the path's two colors, so every vertex is threatened and
+        # the even ones detour: the transform report carries the greedy items
+        (tmp_path / "tau.txt").write_text("".join(f"{(i + 1) % 2}\n" for i in range(30)))
         assert main(["recolor", "--graph", str(tmp_path / "g.txt"),
                      "--partition", str(tmp_path / "c.txt"),
                      "--out-trace", str(tmp_path / "t.txt"),
@@ -683,6 +700,7 @@ class TestQ0Note:
                      "--sigma", str(tmp_path / "c.txt"), "--tau", str(tmp_path / "tau.txt"),
                      "--work-palette", "10,11,12", "--out-trace", str(tmp_path / "tt.txt"),
                      "--out-report", str(tmp_path / "tr.txt")]) == 0
+        assert (tmp_path / "tr.txt").read_text().startswith("moves=45\nhamming=30\ndetour=15\n")
         for report in ("r.txt", "tr.txt"):
             keys = [x.split("=")[0] for x in (tmp_path / report).read_text().splitlines()]
             assert "total_colors" in keys, report

@@ -200,15 +200,21 @@ class TestGreedyRecolor:
 
     def test_report_shape_after_transform(self):
         # transform_with_report replaces residual_fresh_used with palette
-        # colors; the derived counts must follow it
+        # colors and finalized with graph vertices; the derived counts must
+        # follow it. tau mirrors sigma's classes, so every vertex with a
+        # neighbour in the mirror class is threatened, and the detour run
+        # (on the detour set only) has a round and a residual pass
         part = random_partition(300, 4, 900, seed=5)
         inst = gen_planted_m(part, 900, seed=6)
-        tau = coloring_of(inst.sigma.colors + 100)
-        _, rep = transform_with_report(inst.graph, inst.sigma, tau, range(200, 520), L=150)
-        assert rep.residual_size > 0 and rep.residual_colors > 0
+        tau = coloring_of(3 - inst.sigma.colors)
+        trace, rep = transform_with_report(inst.graph, inst.sigma, tau, range(200, 520), L=80)
+        detour = len(rep.trace)
+        assert len(trace) == 300 + detour
+        assert rep.rounds > 0 and rep.residual_size > 0 and rep.residual_colors > 0
         assert all(c >= 200 for c in rep.residual_fresh_used)
         assert isinstance(rep.finalized, np.ndarray) and rep.finalized.dtype == np.int64
-        assert rep.finalized.shape[0] == 300 - rep.residual_size
+        assert rep.finalized.shape[0] == detour - rep.residual_size
+        assert set(rep.finalized.tolist()) <= set(rep.trace.moves[:, 0].tolist())
         assert len(rep.round_pools) == rep.rounds
         for pool in rep.round_pools:
             assert isinstance(pool, np.ndarray) and pool.dtype == np.int64
@@ -218,7 +224,7 @@ class TestGreedyRecolor:
         assert json.loads(json.dumps(counts)) == counts
         assert rep.residual_colors == len(rep.residual_fresh_used)
         assert rep.total_colors == rep.rounds + rep.residual_colors
-        assert rep.trajectory.tolist() == list(range(300, rep.residual_size - 1, -1))
+        assert rep.trajectory.tolist() == list(range(detour, rep.residual_size - 1, -1))
 
     def test_residual_only_when_l_is_n(self):
         part = random_partition(50, 5, 100, seed=1)

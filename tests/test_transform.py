@@ -4,7 +4,8 @@ import pytest
 from colorwalk import (Move, PaletteError, Trace, apply_trace, build_graph,
                        coloring_of, connect_pair, enumerate_colorings,
                        enumerate_hq, gen_planted_m, hamming,
-                       random_partition, reverse_trace, sample_uniform_coloring,
+                       random_partition, reverse_trace, run_greedy_recolor,
+                       sample_uniform_coloring,
                        transform_to_target, verify_trace)
 from colorwalk.transform import classes_from_coloring, color_budget_arithmetic
 
@@ -38,9 +39,9 @@ class TestTransformToTarget:
         assert ok, failure
         end = apply_trace(g, t)
         assert hamming(end, tau) == 0
-        # everything passes through the work color first
-        assert np.array_equal(t.moves[:4], [Move(v, 2) for v in range(4)]) or \
-            {c for _, c in t.moves[:4]} == {2}
+        # no vertex has a neighbour, so none detours through the work color:
+        # each moves once, straight to its target
+        assert np.array_equal(t.moves, [Move(v, 1) for v in range(4)])
 
     def test_planted_with_brute_force_target(self):
         # planted 8-vertex instance at average degree 2, walked onto the
@@ -100,13 +101,31 @@ class TestTransformToTarget:
         with pytest.raises(ValueError):
             transform_to_target(g, coloring_of([0, 0], 5), coloring_of([0, 1], 5), [2])
 
+    @pytest.mark.parametrize("selector", ["lowest", "random", "highest_degree"])
+    def test_walk_to_a_recolor_end_is_a_geodesic(self, selector):
+        # the recolor trace is valid and enters each color in one block, so
+        # every wish orders two of its colors by round: the wishes are
+        # acyclic, the sweep order breaks none and nothing detours
+        inst = gen_planted_m(random_partition(2000, 5, 8000, seed=3), 8000, seed=4)
+        g, sigma = inst.graph, inst.sigma
+        rep = run_greedy_recolor(inst, selector=selector, selector_seed=7, L=200)
+        assert rep.rounds > 0 and rep.residual_size > 0
+        tau = apply_trace(g, rep.trace)
+        top = int(tau.colors.max()) + 1
+        t = transform_to_target(g, sigma, tau, range(top, top + 4))
+        ok, failure = verify_trace(g, t)
+        assert ok, failure
+        assert np.array_equal(apply_trace(g, t).colors, tau.colors)
+        assert len(t) == hamming(sigma, tau) > 0
+
     def test_phase2_order_ascending(self):
         g = build_graph(4, [])
         sigma = coloring_of([0, 0, 0, 0], 6)
         tau = coloring_of([2, 1, 2, 1], 6)
+        # no wishes order the classes, so the sweep takes them by ascending
+        # color; nothing detours, so the sweep is the whole walk
         t = transform_to_target(g, sigma, tau, [5])
-        phase2 = t.moves[4:]
-        assert np.array_equal(phase2, [Move(1, 1), Move(3, 1), Move(0, 2), Move(2, 2)])
+        assert np.array_equal(t.moves, [Move(1, 1), Move(3, 1), Move(0, 2), Move(2, 2)])
 
 
 class TestReverseTrace:

@@ -16,8 +16,9 @@ The grid covers every subcommand (gen, params, recolor, transform,
 connect, verify, oracle and the four experiments, with mis and coupling
 also in records form), the generators at the edges of their pair decode
 (n = 2, a complete graph, one vertex per planted class, an n beyond
-int32), a recolor whose partition file names class 3,000,000 for one of
-its two vertices, a recolor whose whole graph is residual on a
+int32), a one-class planted graph with no edges in the p model, a
+recolor whose partition file names class 3,000,000 for one of its two
+vertices, a recolor whose whole graph is residual on a
 3,000-vertex path, a 60x60 grid and a 2,000-vertex band of width 8
 numbered along their edges (the band's residual has degeneracy 8, so its
 first fit runs nine chained scans), params at d = 2 (below e, where q0
@@ -208,6 +209,9 @@ def pipeline(work: Path) -> list:
         ("gen-planted-q-is-n", ["gen", "planted", "--n", "8", "--q", "8", "--m", "20",
                                 "--seed", "7", "--out-graph", "g_qn.txt",
                                 "--out-partition", "p_qn.txt", "--out-coloring", "c_qn.txt"]),
+        ("gen-planted-p-one-class-no-edges", ["gen", "planted", "--n", "5", "--q", "1",
+                                              "--m", "0", "--seed", "7", "--planted-model", "p",
+                                              "--out-graph", "gp_q1.txt"]),
         ("gen-n-beyond-int32", ["gen", "gnm", "--n", "2147483648", "--m", "1", "--seed", "8",
                                 "--out-graph", "gnm_huge.txt"]),
         ("gen-d-inf", ["gen", "gnm", "--n", "10", "--d", "inf", "--seed", "9",
